@@ -56,7 +56,6 @@ class RunConfig:
     seed: int
     trials: int
     out: str | None
-    parallel: bool
 
 
 class MathFailure(Exception):
@@ -116,7 +115,7 @@ def _cmd_maximal(args, seed: int) -> dict:
     space = mio.load_space(args.space)
     mu = mio.load_measure(args.measure, space.n)
     f = mio.load_function(args.fn, space.n)
-    report = maximal_field(f, mu, space, parallel=args.parallel)
+    report = maximal_field(f, mu, space)
     return {"points": mio.maximal_report_to_json(report, space)}
 
 
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fn", required=True, help="function JSON file with 'f'")
         p.add_argument("--seed", type=int, default=None, help="seed (fallback: MAXLAB_SEED, then 0)")
         p.add_argument("--out", default=None, help="write the report JSON here")
-        p.add_argument("--parallel", action="store_true", help="per-point parallel evaluation")
 
     p = sub.add_parser("validate", help="check the metric axioms of a space file")
     add_common(p)
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="subdivision count (>= 2)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("gen", help="generate space / measure / function files")
     p.add_argument("--family", choices=("ultrametric", "taxicab", "graph"), required=True)
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="space file to write")
     p.add_argument("--measure-out", default=None)
     p.add_argument("--fn-out", default=None)
-    p.add_argument("--parallel", action="store_true")
 
     return parser
 
@@ -326,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=seed,
             trials=getattr(args, "trials", 0),
             out=getattr(args, "out", None),
-            parallel=getattr(args, "parallel", False),
         )
     except mio.InputFormatError as exc:
         print(f"maxlab: input error: {exc}", file=sys.stderr)

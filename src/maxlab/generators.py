@@ -126,8 +126,14 @@ def gen_taxicab(
     lo, hi = coord_range
     if lo >= hi:
         raise ValueError("empty coordinate range")
-    rng = random.Random(seed)
     denom = 4  # quarter-integer grid keeps scalars small and makes exact ties plausible
+    capacity = ((hi - lo) * denom + 1) ** dim
+    if n > capacity:
+        raise ValueError(
+            f"the coordinate range [{lo}, {hi}]^{dim} holds only {capacity} distinct "
+            f"quarter-integer points, fewer than n = {n}"
+        )
+    rng = random.Random(seed)
     points: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
     attempts = 0
@@ -135,7 +141,9 @@ def gen_taxicab(
     while len(points) < n:
         attempts += 1
         if attempts > limit:
-            raise RuntimeError(f"resample limit exceeded after {limit} draws")
+            raise ValueError(
+                f"resample limit exceeded after {limit} draws for {n} distinct points"
+            )
         p = tuple(Fraction(rng.randint(lo * denom, hi * denom), denom) for _ in range(dim))
         if p in seen:
             continue

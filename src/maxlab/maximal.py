@@ -5,16 +5,22 @@ x; the non-centered value ranges over every ball containing x. Both are
 finite maxima because membership changes only at radii drawn from the distance
 matrix. Argmax ties are broken toward the smallest member set (cardinality,
 then lexicographic) so reports are reproducible.
+
+Every operator is evaluated on integers: the measure's weights are scaled by
+the lcm of their denominators, and a function's values (or a numerator
+measure's weights) by the lcm of theirs. Ball sums are then Python ints, two
+averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
+`Fraction` is built only for the value returned. No float ever enters.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .measure import DiscreteMeasure, SampleFunction, integrate, measure_of
+from .measure import DiscreteMeasure, SampleFunction
 from .metric import Ball, BallFamily, FiniteMetricSpace, enumerate_balls
 
 __all__ = [
@@ -28,9 +34,6 @@ __all__ = [
     "inf_ball_measure_pair",
     "maximal_field",
 ]
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class MaximalValue:
@@ -66,87 +69,160 @@ class MaximalReport:
         return {e.point: e.noncentered.value for e in self.points}
 
 
-def _require_support(mu: DiscreteMeasure, x: int) -> None:
-    if not 0 <= x < mu.n:
-        raise ValueError(f"point {x} out of range")
-    if mu.weights[x] == 0:
-        raise ValueError(f"point {x} is outside the support of the measure")
+def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
-def _check_family(family: BallFamily, mu: DiscreteMeasure) -> None:
-    if family.n != mu.n:
-        raise ValueError(f"dimension mismatch: family on {family.n} points, measure on {mu.n}")
+class _BallMeasures:
+    """A ball family bound to a measure mu, with every ball's measure as an integer.
 
+    mu's weights and the ball measures are scaled by the lcm of mu's
+    denominators. They depend only on (family, mu), so one instance serves
+    every query on that pair. A candidate ball's average (or measure ratio)
+    is S/M, with M its scaled measure and S an integer ball sum of the
+    query's scaled values; balls of measure zero read as 0.
+    """
 
-def _best(
-    family: BallFamily, indices: Iterable[int], value_of
-) -> MaximalValue:
-    best_v: Fraction | None = None
-    best_key = None
-    best_ball = None
-    for idx in indices:
-        v = value_of(idx)
-        ball = family.balls[idx]
-        key = (len(ball.members), ball.members)
-        if best_v is None or v > best_v or (v == best_v and key < best_key):
-            best_v, best_key, best_ball = v, key, ball
-    if best_ball is None:
-        raise ValueError("no candidate balls")
-    return MaximalValue(value=best_v, ball=best_ball)
+    def __init__(self, family: BallFamily, mu: DiscreteMeasure):
+        if family.n != mu.n:
+            raise ValueError(f"dimension mismatch: family on {family.n} points, measure on {mu.n}")
+        self.family = family
+        self.weights, self.scale = _scaled(mu.weights)
+        weight = self.weights.__getitem__
+        balls = family.balls
+        self.masses = tuple(sum(map(weight, ball.members)) for ball in balls)
+        # tie_rank[i] < tie_rank[j] iff ball i is smaller (size, then members) than ball j
+        keys = [(len(ball.members), ball.members) for ball in balls]
+        self.tie_rank = [0] * len(balls)
+        for rank, i in enumerate(sorted(range(len(balls)), key=keys.__getitem__)):
+            self.tie_rank[i] = rank
 
+    def _require_support(self, x: int) -> None:
+        if not 0 <= x < len(self.weights):
+            raise ValueError(f"point {x} out of range")
+        if self.weights[x] == 0:
+            raise ValueError(f"point {x} is outside the support of the measure")
 
-def _average_on(f: SampleFunction, mu: DiscreteMeasure, ball: Ball) -> Fraction:
-    m = measure_of(mu, ball)
-    if m == 0:
-        return _ZERO
-    return integrate(f, mu, ball) / m
+    def _sums(self, point_values: Sequence[int], indices: Iterable[int]) -> dict[int, int]:
+        """Integer ball sums of point_values, 0 on balls of measure zero."""
+        value = point_values.__getitem__
+        balls, masses = self.family.balls, self.masses
+        return {i: sum(map(value, balls[i].members)) if masses[i] else 0 for i in indices}
 
+    def _average_sums(
+        self, f: SampleFunction, indices: Iterable[int]
+    ) -> tuple[dict[int, int], Fraction]:
+        """Ball sums of f*mu, and the factor taking S/M to the true average."""
+        if f.n != len(self.weights):
+            raise ValueError(
+                f"dimension mismatch: function on {f.n} points, measure on {len(self.weights)}"
+            )
+        values, k = _scaled(f.values)
+        return self._sums([v * w for v, w in zip(values, self.weights)], indices), Fraction(1, k)
 
-def _ratio_on(nu: DiscreteMeasure, mu: DiscreteMeasure, ball: Ball) -> Fraction:
-    m = measure_of(mu, ball)
-    if m == 0:
-        return _ZERO
-    return measure_of(nu, ball) / m
+    def _ratio_sums(
+        self, nu: DiscreteMeasure, indices: Iterable[int]
+    ) -> tuple[dict[int, int], Fraction]:
+        """Ball sums of nu, and the factor taking S/M to the true ratio nu(B)/mu(B)."""
+        if nu.n != len(self.weights):
+            raise ValueError("dimension mismatch between the two measures")
+        weights, k = _scaled(nu.weights)
+        return self._sums(weights, indices), Fraction(self.scale, k)
+
+    def _best(
+        self, sums: dict[int, int], factor: Fraction, indices: Sequence[int]
+    ) -> MaximalValue:
+        """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball."""
+        if not indices:
+            raise ValueError("no candidate balls")
+        masses, tie_rank = self.masses, self.tie_rank
+        best = indices[0]
+        best_s, best_m = sums[best], masses[best] or 1
+        for i in indices:
+            s, m = sums[i], masses[i] or 1
+            lhs, rhs = s * best_m, best_s * m
+            if lhs > rhs or (lhs == rhs and tie_rank[i] < tie_rank[best]):
+                best, best_s, best_m = i, s, m
+        value = Fraction(best_s * factor.numerator, best_m * factor.denominator)
+        return MaximalValue(value=value, ball=self.family.balls[best])
+
+    def max_average(
+        self, f: SampleFunction, x: int, candidates: Sequence[Sequence[int]]
+    ) -> MaximalValue:
+        """Max ball average of f over candidates[x] (the family's centered_at or containing)."""
+        self._require_support(x)
+        indices = candidates[x]
+        return self._best(*self._average_sums(f, indices), indices)
+
+    def max_ratio(
+        self, nu: DiscreteMeasure, x: int, candidates: Sequence[Sequence[int]]
+    ) -> MaximalValue:
+        """Max of nu(B)/mu(B) over candidates[x] (the family's centered_at or containing)."""
+        self._require_support(x)
+        indices = candidates[x]
+        return self._best(*self._ratio_sums(nu, indices), indices)
+
+    def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
+        family = self.family
+        if not (0 <= x < family.n and 0 <= y < family.n):
+            raise ValueError("point index out of range")
+        masses, tie_rank = self.masses, self.tie_rank
+        in_y = set(family.containing[y])
+        best = None
+        for i in family.containing[x]:
+            if i not in in_y:
+                continue
+            m = masses[i]
+            if best is None or m < best_m or (m == best_m and tie_rank[i] < tie_rank[best]):
+                best, best_m = i, m
+        if best is None:
+            raise AssertionError("ball family is missing a whole-space ball")
+        return Fraction(best_m, self.scale), family.balls[best]
+
+    def field(self, f: SampleFunction) -> MaximalReport:
+        family = self.family
+        sums, factor = self._average_sums(f, range(len(family.balls)))
+        return MaximalReport(
+            points=tuple(
+                PointMaximal(
+                    point=x,
+                    centered=self._best(sums, factor, family.centered_at[x]),
+                    noncentered=self._best(sums, factor, family.containing[x]),
+                )
+                for x, w in enumerate(self.weights)
+                if w
+            )
+        )
 
 
 def centered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over balls centered at the support point x."""
-    _check_family(family, mu)
-    _require_support(mu, x)
-    return _best(family, family.centered_at[x], lambda i: _average_on(f, mu, family.balls[i]))
+    return _BallMeasures(family, mu).max_average(f, x, family.centered_at)
 
 
 def noncentered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over every ball containing the support point x."""
-    _check_family(family, mu)
-    _require_support(mu, x)
-    return _best(family, family.containing[x], lambda i: _average_on(f, mu, family.balls[i]))
+    return _BallMeasures(family, mu).max_average(f, x, family.containing)
 
 
 def centered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over balls centered at x (ratio 0 where mu(B) = 0)."""
-    _check_family(family, mu)
-    if nu.n != mu.n:
-        raise ValueError("dimension mismatch between the two measures")
-    _require_support(mu, x)
-    return _best(family, family.centered_at[x], lambda i: _ratio_on(nu, mu, family.balls[i]))
+    return _BallMeasures(family, mu).max_ratio(nu, x, family.centered_at)
 
 
 def noncentered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over every ball containing x (ratio 0 where mu(B) = 0)."""
-    _check_family(family, mu)
-    if nu.n != mu.n:
-        raise ValueError("dimension mismatch between the two measures")
-    _require_support(mu, x)
-    return _best(family, family.containing[x], lambda i: _ratio_on(nu, mu, family.balls[i]))
+    return _BallMeasures(family, mu).max_ratio(nu, x, family.containing)
 
 
 def inf_ball_measure_pair(
@@ -157,24 +233,7 @@ def inf_ball_measure_pair(
     At least one candidate always exists (any ball of radius >= diameter).
     Argmin ties break toward the smallest member set.
     """
-    _check_family(family, mu)
-    if not (0 <= x < family.n and 0 <= y < family.n):
-        raise ValueError("point index out of range")
-    in_y = set(family.containing[y])
-    best_m: Fraction | None = None
-    best_key = None
-    best_ball = None
-    for idx in family.containing[x]:
-        if idx not in in_y:
-            continue
-        ball = family.balls[idx]
-        m = measure_of(mu, ball)
-        key = (len(ball.members), ball.members)
-        if best_m is None or m < best_m or (m == best_m and key < best_key):
-            best_m, best_key, best_ball = m, key, ball
-    if best_ball is None:
-        raise AssertionError("ball family is missing a whole-space ball")
-    return best_m, best_ball
+    return _BallMeasures(family, mu).inf_pair(x, y)
 
 
 def maximal_field(
@@ -182,33 +241,12 @@ def maximal_field(
     mu: DiscreteMeasure,
     space: FiniteMetricSpace,
     family: BallFamily | None = None,
-    parallel: bool = False,
 ) -> MaximalReport:
     """Both maximal values of f at every support point.
 
-    Ball measures and averages are computed once for the whole family and
-    shared across points. `parallel` distributes the per-point selection over
-    a thread pool; results are identical either way.
+    Ball measures and ball sums are computed once for the whole family and
+    shared across points.
     """
     if family is None:
         family = enumerate_balls(space)
-    _check_family(family, mu)
-    if f.n != mu.n:
-        raise ValueError(f"dimension mismatch: function on {f.n} points, measure on {mu.n}")
-    averages: list[Fraction] = []
-    for ball in family.balls:
-        m = measure_of(mu, ball)
-        averages.append(integrate(f, mu, ball) / m if m else _ZERO)
-
-    def entry(x: int) -> PointMaximal:
-        centered = _best(family, family.centered_at[x], averages.__getitem__)
-        noncentered = _best(family, family.containing[x], averages.__getitem__)
-        return PointMaximal(point=x, centered=centered, noncentered=noncentered)
-
-    support = mu.support
-    if parallel and len(support) > 1:
-        with ThreadPoolExecutor() as pool:
-            entries = tuple(pool.map(entry, support))
-    else:
-        entries = tuple(entry(x) for x in support)
-    return MaximalReport(points=entries)
+    return _BallMeasures(family, mu).field(f)

@@ -20,10 +20,9 @@ from typing import Sequence
 
 from .maximal import (
     MaximalValue,
+    _BallMeasures,
     centered_maximal,
     centered_maximal_measure,
-    inf_ball_measure_pair,
-    maximal_field,
     noncentered_maximal,
     noncentered_maximal_measure,
 )
@@ -171,12 +170,9 @@ def construct_witness(
 
 
 def _first_gap(
-    mu: DiscreteMeasure,
-    space: FiniteMetricSpace,
-    family: BallFamily,
-    f: SampleFunction,
+    mu: DiscreteMeasure, ball_measures: _BallMeasures, f: SampleFunction
 ) -> Witness | None:
-    report = maximal_field(f, mu, space, family=family)
+    report = ball_measures.field(f)
     for entry in report.points:
         if entry.noncentered.value > entry.centered.value:
             return Witness(
@@ -208,9 +204,10 @@ def coincidence_randomized(
         raise ValueError("trials must be >= 0")
     if family is None:
         family = enumerate_balls(space)
+    ball_measures = _BallMeasures(family, mu)
     for p in mu.support:
         f = normalized_indicator(space, (p,), mu)
-        witness = _first_gap(mu, space, family, f)
+        witness = _first_gap(mu, ball_measures, f)
         if witness is not None:
             return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
     rng = random.Random(seed)
@@ -219,7 +216,7 @@ def coincidence_randomized(
         raise ValueError("empty value range")
     for t in range(trials):
         f = SampleFunction(tuple(Fraction(rng.randint(lo, hi)) for _ in range(space.n)))
-        witness = _first_gap(mu, space, family, f)
+        witness = _first_gap(mu, ball_measures, f)
         if witness is not None:
             return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=t + 1)
     return CoincidenceVerdict("equal", "randomized", trials=trials)
@@ -398,6 +395,7 @@ def check_ball_infimum(
     """
     if family is None:
         family = enumerate_balls(space)
+    ball_measures = _BallMeasures(family, mu)
     support = mu.support
     rows: list[PairBallCheck] = []
     for x in support:
@@ -408,8 +406,8 @@ def check_ball_infimum(
             d = space.dist[x][y]
             m_y = measure_of(mu, closed_ball(space, y, d))
             m_x = measure_of(mu, closed_ball(space, x, d))
-            inf_m, _ = inf_ball_measure_pair(mu, family, x, y)
-            dm = noncentered_maximal_measure(delta_x, mu, family, y).value
+            inf_m, _ = ball_measures.inf_pair(x, y)
+            dm = ball_measures.max_ratio(delta_x, y, family.containing).value
             rows.append(
                 PairBallCheck(
                     x=x,

@@ -55,6 +55,21 @@ def noncentered_value(space, mu, f, x):
     return best
 
 
+def argmax_ball(space, mu, f, x, centered):
+    """Maximal average at x and the sorted members of the ball attaining it.
+
+    Ties go to the smallest member set, then to the lexicographically first.
+    """
+    if centered:
+        sets = {ball_members(space, x, r) for r in set(space.dist[x]) | {ZERO}}
+    else:
+        sets = {s for s in all_ball_sets(space) if x in s}
+    averages = {s: average(space, mu, f, s) for s in sets}
+    best = max(averages.values())
+    winners = (tuple(sorted(s)) for s, v in averages.items() if v == best)
+    return best, min(winners, key=lambda m: (len(m), m))
+
+
 def inf_pair_measure(space, mu, x, y):
     best = None
     for c in range(space.n):

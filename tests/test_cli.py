@@ -111,6 +111,16 @@ class TestExitCodes:
         )
         assert code == EXIT_INPUT_ERROR
 
+    def test_gen_more_points_than_the_range_holds_exits_2(self, capsys):
+        # the 1-D quarter-integer range [-10, 10] holds 81 distinct points
+        argv = ["gen", "--family", "taxicab", "--n", "100", "--dim", "1", "--seed", "0"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "holds only 81 distinct" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSubcommands:
     def test_maximal_report(self, files, capsys):
@@ -281,16 +291,3 @@ class TestSubcommands:
         code = main(["validate", "--space", str(files / "line3.json"), "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["result"]["valid"] is True
-
-    def test_parallel_flag_same_values(self, files, capsys):
-        argv = [
-            "maximal",
-            "--space", str(files / "line3.json"),
-            "--measure", str(files / "uniform.json"),
-            "--fn", str(files / "ind2.json"),
-        ]
-        assert main(argv) == EXIT_OK
-        serial = json.loads(capsys.readouterr().out)["result"]
-        assert main(argv + ["--parallel"]) == EXIT_OK
-        parallel = json.loads(capsys.readouterr().out)["result"]
-        assert serial == parallel

@@ -67,10 +67,10 @@ class TestTaxicab:
         assert is_ultrametric(gen_taxicab(2, dim=2, seed=0))
 
     def test_duplicates_rejected(self):
-        # a 1-unit coordinate range on the quarter grid has 9 slots in dim 1
+        # a 2-unit coordinate range on the quarter grid has 9 slots in dim 1
         space = gen_taxicab(9, dim=1, coord_range=(0, 2), seed=3)
         assert space.n == 9
-        with pytest.raises(RuntimeError, match="resample"):
+        with pytest.raises(ValueError, match="holds only 9 distinct"):
             gen_taxicab(10, dim=1, coord_range=(0, 2), seed=3)
 
     @given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 10**9))

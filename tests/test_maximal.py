@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -15,15 +15,21 @@ from maxlab import (
     enumerate_balls,
     gen_function,
     gen_graph_metric,
-    gen_measure,
     gen_taxicab,
     gen_ultrametric,
     inf_ball_measure_pair,
+    line_space,
     maximal_field,
     noncentered_maximal,
     noncentered_maximal_measure,
     validate_space,
 )
+
+
+# Pairwise coprime denominators, so that the lcm scaling of the integer
+# kernel meets large, unrelated factors; 1 keeps integer values and exact ties.
+VALUE_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 89, 97)
+WEIGHT_DENOMINATORS = (1, 4, 9, 101, 9973, 65537)
 
 
 @st.composite
@@ -37,9 +43,13 @@ def instances(draw):
         space = gen_taxicab(n, dim=draw(st.integers(1, 3)), seed=seed)
     else:
         space = gen_graph_metric(n, seed=seed)
-    mu = gen_measure(space, seed=draw(st.integers(0, 10**6)), zero_fraction=0.25)
-    f = gen_function(space, seed=draw(st.integers(0, 10**6)))
-    return space, mu, f
+    weight = st.builds(Fraction, st.integers(0, 12), st.sampled_from(WEIGHT_DENOMINATORS))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = Fraction(1)
+    value = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(VALUE_DENOMINATORS))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    return space, DiscreteMeasure(tuple(weights)), SampleFunction(tuple(values))
 
 
 class TestExamples:
@@ -129,11 +139,6 @@ class TestExamples:
         with pytest.raises(KeyError):
             report.at(1)
 
-    def test_parallel_matches_serial(self, line3, uniform3, ind2):
-        serial = maximal_field(ind2, uniform3, line3)
-        parallel = maximal_field(ind2, uniform3, line3, parallel=True)
-        assert serial == parallel
-
     def test_tie_break_smallest_ball(self, line3, uniform3):
         # every average of a constant ties; the singleton must win
         ones = SampleFunction((1, 1, 1))
@@ -155,6 +160,29 @@ class TestProperties:
             assert noncentered_maximal(f, mu, family, x).value == oracle.noncentered_value(
                 space, mu, f, x
             )
+
+    @given(instances())
+    @example(
+        # at point 2 the balls {1,2,3}, {2,3,4}, {1,2,3,4}, {0,1,2,3} and the
+        # whole line all average 0: size, then lexicographic order picks {1,2,3}
+        (
+            line_space([0, 1, 2, 3, 4]),
+            DiscreteMeasure((1, 1, 1, 1, 1)),
+            SampleFunction((0, 0, -1, 1, 0)),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_field_matches_point_operators_and_oracle(self, inst):
+        space, mu, f = inst
+        family = enumerate_balls(space)
+        report = maximal_field(f, mu, space, family=family)
+        assert tuple(e.point for e in report.points) == mu.support
+        for e in report.points:
+            assert e.centered == centered_maximal(f, mu, family, e.point)
+            assert e.noncentered == noncentered_maximal(f, mu, family, e.point)
+            for got, centered in ((e.centered, True), (e.noncentered, False)):
+                expected = oracle.argmax_ball(space, mu, f, e.point, centered)
+                assert (got.value, got.ball.members) == expected
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
