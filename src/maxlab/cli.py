@@ -54,7 +54,6 @@ class RunConfig:
     subcommand: str
     inputs: tuple[tuple[str, str], ...]  # (role, path)
     seed: int
-    trials: int
     out: str | None
 
 
@@ -320,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
             subcommand=args.subcommand,
             inputs=_collect_inputs(args),
             seed=seed,
-            trials=getattr(args, "trials", 0),
             out=getattr(args, "out", None),
         )
     except mio.InputFormatError as exc:

@@ -117,9 +117,14 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
         raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "dist" not in data:
         raise InputFormatError(f"{p}: expected an object with a 'dist' matrix")
-    dist = [[parse_scalar(v) for v in row] for row in data["dist"]]
-    labels = data.get("labels")
-    return validate_space(dist, labels=labels)
+    dist, labels = data["dist"], data.get("labels")
+    if not (isinstance(dist, list) and all(isinstance(row, list) for row in dist)):
+        raise InputFormatError(f"{p}: 'dist' must be a list of lists")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise InputFormatError(f"{p}: 'labels' must be a list of strings")
+    return validate_space([[parse_scalar(v) for v in row] for row in dist], labels=labels)
 
 
 def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:
@@ -130,6 +135,8 @@ def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:
         raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
     if not isinstance(data, dict) or key not in data:
         raise InputFormatError(f"{p}: expected an object with a {key!r} array")
+    if not isinstance(data[key], list):
+        raise InputFormatError(f"{p}: {key!r} must be a list")
     values = [parse_scalar(v) for v in data[key]]
     if n is not None and len(values) != n:
         raise InputFormatError(f"{p}: {key!r} has {len(values)} entries, expected {n}")

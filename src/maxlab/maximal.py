@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .measure import DiscreteMeasure, SampleFunction
-from .metric import Ball, BallFamily, FiniteMetricSpace, enumerate_balls
+from .metric import Ball, BallFamily, FiniteMetricSpace, _scaled, enumerate_balls
 
 __all__ = [
     "MaximalValue",
@@ -67,12 +66,6 @@ class MaximalReport:
 
     def noncentered_values(self) -> dict[int, Fraction]:
         return {e.point: e.noncentered.value for e in self.points}
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The values times the lcm of their denominators, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 class _BallMeasures:

@@ -4,14 +4,17 @@ Metric-axiom validation, ultrametric detection with a normalized violating
 triple, closed/open ball computation, deduplicated enumeration of every
 closed ball of a space, and midpoint-configuration search.
 
-Every scalar is a `fractions.Fraction`; floats are rejected so that ball
-membership ties are decided exactly.
+Every public scalar is a `fractions.Fraction` and floats are rejected, so ball
+membership ties are decided exactly. Validation and ball enumeration compare
+an integer copy of the distance matrix, scaled by the lcm of its denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -149,31 +152,44 @@ def _coerce_matrix(dist: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ..
     return tuple(tuple(as_rational(v) for v in row) for row in dist)
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
 def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViolation]:
     """Every violated metric axiom of a square matrix, with indices."""
     n = len(dist)
+    flat, _ = _scaled([v for row in dist for v in row])
+    scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
     out: list[MetricViolation] = []
     for i in range(n):
-        if dist[i][i] != 0:
+        if scaled[i][i] != 0:
             out.append(MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {dist[i][i]} != 0"))
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if scaled[i][j] != scaled[j][i]:
                 out.append(
                     MetricViolation(
                         "symmetry", (i, j), f"dist[{i}][{j}] = {dist[i][j]} != {dist[j][i]} = dist[{j}][{i}]"
                     )
                 )
-            if dist[i][j] <= 0:
+            if scaled[i][j] <= 0:
                 out.append(
                     MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
                 )
-    for i in range(n):
+    columns = list(zip(*scaled))
+    for i, row in enumerate(scaled):
         for k in range(i + 1, n):
+            # no shorter detour, no violation; the j = i, k detours (which only a
+            # nonzero diagonal makes shorter) are skipped by the scan below
+            if min(map(add, row, columns[k])) >= row[k]:
+                continue
             for j in range(n):
                 if j == i or j == k:
                     continue
-                if dist[i][k] > dist[i][j] + dist[j][k]:
+                if row[k] > row[j] + scaled[j][k]:
                     out.append(
                         MetricViolation(
                             "triangle",
@@ -288,9 +304,11 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     balls: list[Ball] = []
     index_by_members: dict[tuple[int, ...], int] = {}
     centered_at: list[list[int]] = [[] for _ in range(n)]
+    flat, _ = _scaled([v for row in dist for v in row])
     for c in range(n):
-        row = dist[c]
-        order = sorted(range(n), key=lambda p: (row[p], p))
+        row = flat[c * n : (c + 1) * n]
+        # sorted() is stable, so equal distances keep ascending point order
+        order = sorted(range(n), key=row.__getitem__)
         seen: set[int] = set()
         k = 0
         while k < n:
@@ -302,7 +320,7 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
             if idx is None:
                 idx = len(balls)
                 index_by_members[members] = idx
-                balls.append(Ball(center=c, radius=r, kind="closed", members=members))
+                balls.append(Ball(center=c, radius=dist[c][order[k]], kind="closed", members=members))
             if idx not in seen:
                 seen.add(idx)
                 centered_at[c].append(idx)

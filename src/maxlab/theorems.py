@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .maximal import (
-    MaximalValue,
-    _BallMeasures,
-    centered_maximal,
-    centered_maximal_measure,
-    noncentered_maximal,
-    noncentered_maximal_measure,
-)
+from .maximal import MaximalValue, _BallMeasures, centered_maximal, noncentered_maximal
 from .measure import (
     DiscreteMeasure,
     SampleFunction,
@@ -164,8 +157,9 @@ def construct_witness(
     f = normalized_indicator(space, (y,), nu)
     if family is None:
         family = enumerate_balls(space)
-    cv = centered_maximal(f, nu, family, x).value
-    nv = noncentered_maximal(f, nu, family, x).value
+    ball_measures = _BallMeasures(family, nu)
+    cv = ball_measures.max_average(f, x, family.centered_at).value
+    nv = ball_measures.max_average(f, x, family.containing).value
     return Witness(measure=nu, function=f, point=x, centered_value=cv, noncentered_value=nv)
 
 
@@ -249,7 +243,8 @@ def coincidence_exact(
     """
     if family is None:
         family = enumerate_balls(space)
-    measures = [measure_of(mu, b) for b in family.balls]
+    ball_measures = _BallMeasures(family, mu)
+    measures = [Fraction(m, ball_measures.scale) for m in ball_measures.masses]
     certificates: list[HullCertificate] = []
     for x in mu.support:
         centered_idx = list(family.centered_at[x])
@@ -276,8 +271,8 @@ def coincidence_exact(
                 continue
             g, _t = separation
             f = SampleFunction(tuple(g))
-            cv = centered_maximal(f, mu, family, x).value
-            nv = noncentered_maximal(f, mu, family, x).value
+            cv = ball_measures.max_average(f, x, family.centered_at).value
+            nv = ball_measures.max_average(f, x, family.containing).value
             if not nv > cv:
                 raise RuntimeError(
                     "separating function failed direct re-evaluation; solver inconsistency"
@@ -478,17 +473,18 @@ def check_lower_semicontinuity(
         raise ValueError(
             f"last element deviates by {deviations[-1]}, above the allowed {bound}"
         )
+    ball_measures = _BallMeasures(family, mu)
     nc_values = tuple(
-        noncentered_maximal_measure(nu, mu, family, x).value for nu in nu_sequence
+        ball_measures.max_ratio(nu, x, family.containing).value for nu in nu_sequence
     )
     c_values = tuple(
-        centered_maximal_measure(nu, mu, family, x).value for nu in nu_sequence
+        ball_measures.max_ratio(nu, x, family.centered_at).value for nu in nu_sequence
     )
-    nc_limit = noncentered_maximal_measure(nu_limit, mu, family, x).value
-    c_limit = centered_maximal_measure(nu_limit, mu, family, x).value
+    nc_limit = ball_measures.max_ratio(nu_limit, x, family.containing).value
+    c_limit = ball_measures.max_ratio(nu_limit, x, family.centered_at).value
 
-    min_ball = min(measure_of(mu, family.balls[i]) for i in family.containing[x])
-    constant = Fraction(mu.n) / min_ball
+    min_ball = min(ball_measures.masses[i] for i in family.containing[x])
+    constant = Fraction(mu.n * ball_measures.scale, min_ball)
     tail_start = len(nu_sequence) // 2
     tolerance = constant * max(deviations[tail_start:])
     tail_ok = min(nc_values[tail_start:]) >= nc_limit - tolerance and min(
@@ -680,11 +676,12 @@ def check_bump_bound(
     bound = 1 / measure_of(mu, closed_ball(space, y, space.dist[x][y]))
     threshold = min(space.dist[x][p] for p in range(space.n) if p != x)
     point_mass = normalized_indicator(space, (x,), mu)
+    ball_measures = _BallMeasures(family, mu)
     checks = []
     for raw in deltas:
         r = as_rational(raw)
         f = bump_function(space, mu, x, y, r)
-        value = centered_maximal(f, mu, family, y).value
+        value = ball_measures.max_average(f, y, family.centered_at).value
         checks.append(
             BumpCheck(
                 delta=r,

@@ -96,3 +96,31 @@ def midpoint_triples(space):
                 ):
                     out.add((a, m, b))
     return out
+
+
+def metric_violations(dist):
+    """(axiom, indices, detail) of every violated metric axiom, in check order."""
+    n = len(dist)
+    out = []
+    for i in range(n):
+        if dist[i][i] != 0:
+            out.append(("diagonal", (i,), f"dist[{i}][{i}] = {dist[i][i]} != 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                detail = f"dist[{i}][{j}] = {dist[i][j]} != {dist[j][i]} = dist[{j}][{i}]"
+                out.append(("symmetry", (i, j), detail))
+            if dist[i][j] <= 0:
+                out.append(("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0"))
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j in (i, k):
+                    continue
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    detail = (
+                        f"dist[{i}][{k}] = {dist[i][k]} > {dist[i][j]} + {dist[j][k]}"
+                        f" = dist[{i}][{j}] + dist[{j}][{k}]"
+                    )
+                    out.append(("triangle", (i, j, k), detail))
+    return out

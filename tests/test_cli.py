@@ -121,6 +121,30 @@ class TestExitCodes:
         assert "holds only 81 distinct" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "role, document",
+        [
+            ("space", {"dist": 5}),
+            ("space", {"dist": [[0, 1], 7]}),
+            ("space", {"labels": "ab", "dist": [[0, 1], [1, 0]]}),
+            ("measure", {"weights": {"a": 1, "b": 1, "c": 1}}),
+            ("fn", {"f": "001"}),
+        ],
+    )
+    def test_malformed_document_exits_2(self, files, tmp_path, capsys, role, document):
+        bad = tmp_path / "bad.json"
+        mio.write_json(document, bad)
+        paths = {"space": "line3.json", "measure": "uniform.json", "fn": "ind2.json"}
+        argv = ["maximal"]
+        for r, name in paths.items():
+            argv += [f"--{r}", str(bad if r == role else files / name)]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "must be a list" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSubcommands:
     def test_maximal_report(self, files, capsys):

@@ -38,6 +38,26 @@ spaces = st.one_of(
 )
 
 
+# Entries of malformed matrices: zero and negative values, and coprime
+# denominators up to 97, so the integer copy's common scale is large.
+entries = st.builds(
+    Fraction, st.integers(-40, 400), st.sampled_from([1, 1, 2, 3, 7, 11, 13, 89, 97])
+)
+
+
+@st.composite
+def malformed_matrices(draw):
+    n = draw(st.integers(1, 7))
+    dist = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if draw(st.booleans()):
+            dist[i][i] = Fraction(0)
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)):  # mostly symmetric pairs
+                dist[j][i] = dist[i][j]
+    return tuple(tuple(row) for row in dist)
+
+
 class TestValidate:
     def test_single_point(self):
         space = validate_space([[0]])
@@ -62,6 +82,12 @@ class TestValidate:
         assert {"diagonal", "symmetry", "positivity"} <= axioms
         assert any(v.axiom == "diagonal" and v.indices == (1,) for v in violations)
         assert any(v.axiom == "symmetry" and v.indices == (0, 1) for v in violations)
+
+    @given(malformed_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_violations_match_brute_force(self, dist):
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == oracle.metric_violations(dist)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="square"):
@@ -146,9 +172,16 @@ class TestBalls:
         family = enumerate_balls(space)
         assert {frozenset(b.members) for b in family.balls} == oracle.all_ball_sets(space)
         assert len(family) <= space.n**2
+        first: dict[frozenset[int], tuple[int, Fraction]] = {}
+        for c in range(space.n):
+            for r in sorted(set(space.dist[c])):
+                first.setdefault(oracle.ball_members(space, c, r), (c, r))
         for ball in family.balls:
             # the representative recomputes to the stored member set
             assert closed_ball(space, ball.center, ball.radius).members == ball.members
+            # and is the first (center, radius) realizing it, with an exact radius
+            assert (ball.center, ball.radius) == first[frozenset(ball.members)]
+            assert type(ball.radius) is Fraction
         for x in range(space.n):
             assert set(family.centered_at[x]) <= set(family.containing[x])
             for idx in family.containing[x]:
