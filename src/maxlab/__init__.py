@@ -58,6 +58,7 @@ from .theorems import (
     bump_function,
     check_bump_bound,
 )
+from . import simplex  # no decision uses the LP; bench/spans.py still traces it by name
 from .generators import (
     Dendrogram,
     gen_ultrametric,

@@ -229,6 +229,9 @@ def verdict_to_json(
     }
     if verdict.witness is not None:
         out["witness"] = witness_to_json(verdict.witness, space)
+    if verdict.explanation is not None:
+        keys = ("point", "farthest", "nearer", "center")
+        out["explanation"] = {k: space.labels[i] for k, i in zip(keys, verdict.explanation)}
     if verdict.certificates is not None:
         out["certificates"] = [
             {

@@ -119,13 +119,16 @@ class BallFamily:
 
     `balls[i]` is a representative (center, radius) realizing member set i;
     `containing[x]` lists family indices of sets containing x; `centered_at[x]`
-    lists family indices arising from balls centered at x. Both sublists are
-    deduplicated; `centered_at[x]` is always a subset of `containing[x]`.
+    lists family indices arising from balls centered at x, radii ascending.
+    Both sublists are deduplicated; `centered_at[x]` is always a subset of
+    `containing[x]`. `rank[c][p]` is the position in `centered_at[c]` of the
+    smallest ball centered at c that holds p.
     """
 
     balls: tuple[Ball, ...]
     containing: tuple[tuple[int, ...], ...]
     centered_at: tuple[tuple[int, ...], ...]
+    rank: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -246,20 +249,23 @@ def line_space(
 def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with d(x,z) <= d(x,y) < d(z,y), or None.
 
-    Brute-force scan of all triples; a violation d(a,c) > max(d(a,b), d(b,c))
-    is normalized so that x is the middle point, y the farther endpoint and z
-    the nearer one (ties resolved toward the later endpoint).
+    Scans pairs a < c, then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a
+    violation is normalized so that x is the middle point, y the farther
+    endpoint and z the nearer one (ties resolved toward the later endpoint).
     """
-    dist = space.dist
     n = space.n
-    for a in range(n):
+    flat, _ = _scaled([v for row in space.dist for v in row])
+    scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
+    columns = list(zip(*scaled))
+    for a, row in enumerate(scaled):
         for c in range(a + 1, n):
-            dac = dist[a][c]
+            dac = row[c]
+            # b = a and b = c never pass: max(d(a,a), d(a,c)) >= d(a,c)
+            if min(map(max, row, columns[c])) >= dac:
+                continue
             for b in range(n):
-                if b == a or b == c:
-                    continue
-                if dac > dist[a][b] and dac > dist[b][c]:
-                    if dist[b][c] >= dist[b][a]:
+                if dac > row[b] and dac > scaled[b][c]:
+                    if scaled[b][c] >= scaled[b][a]:
                         return (b, c, a)
                     return (b, a, c)
     return None
@@ -304,15 +310,18 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     balls: list[Ball] = []
     index_by_members: dict[tuple[int, ...], int] = {}
     centered_at: list[list[int]] = [[] for _ in range(n)]
+    rank: list[tuple[int, ...]] = []
     flat, _ = _scaled([v for row in dist for v in row])
     for c in range(n):
         row = flat[c * n : (c + 1) * n]
         # sorted() is stable, so equal distances keep ascending point order
         order = sorted(range(n), key=row.__getitem__)
-        seen: set[int] = set()
+        position: dict[int, int] = {}  # distance -> index in centered_at[c]
         k = 0
         while k < n:
             r = row[order[k]]
+            # each radius adds the points at that distance, so the sets grow strictly
+            position[r] = len(centered_at[c])
             while k + 1 < n and row[order[k + 1]] == r:
                 k += 1
             members = tuple(sorted(order[: k + 1]))
@@ -321,10 +330,9 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 idx = len(balls)
                 index_by_members[members] = idx
                 balls.append(Ball(center=c, radius=dist[c][order[k]], kind="closed", members=members))
-            if idx not in seen:
-                seen.add(idx)
-                centered_at[c].append(idx)
+            centered_at[c].append(idx)
             k += 1
+        rank.append(tuple(map(position.__getitem__, row)))
     containing: list[list[int]] = [[] for _ in range(n)]
     for idx, ball in enumerate(balls):
         for p in ball.members:
@@ -333,6 +341,7 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         balls=tuple(balls),
         containing=tuple(tuple(s) for s in containing),
         centered_at=tuple(tuple(s) for s in centered_at),
+        rank=tuple(rank),
     )
 
 

@@ -8,7 +8,7 @@ finite-space lower-semicontinuity of the measure-maximal operators; and runs
 the line-grid demonstration where the two operators provably separate.
 
 Everything is exact rational arithmetic. Verdicts carry certificates that an
-independent checker can re-verify without trusting the solver.
+independent checker can re-verify without trusting the decision.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .maximal import MaximalValue, _BallMeasures, centered_maximal, noncentered_maximal
@@ -38,7 +39,6 @@ from .metric import (
     line_space,
     open_ball,
 )
-from .simplex import convex_combination
 
 __all__ = [
     "Witness",
@@ -108,9 +108,10 @@ class HullCertificate:
 class CoincidenceVerdict:
     """Equal-or-distinct decision with a re-checkable certificate.
 
-    `distinct` always carries a Witness. `equal` carries hull certificates
-    when decided exactly; the randomized method's `equal` is inconclusive and
-    carries none.
+    `distinct` always carries a Witness, and when decided exactly also the
+    separating triple (x, p, q, c) behind it: see `coincidence_exact`.
+    `equal` carries hull certificates when decided exactly; the randomized
+    method's `equal` is inconclusive and carries none.
     """
 
     verdict: str  # "equal" | "distinct"
@@ -118,6 +119,7 @@ class CoincidenceVerdict:
     witness: Witness | None = None
     certificates: tuple[HullCertificate, ...] | None = None
     trials: int | None = None
+    explanation: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
         if self.verdict not in ("equal", "distinct"):
@@ -233,54 +235,67 @@ def coincidence_exact(
 ) -> CoincidenceVerdict:
     """Decide whether both maximal operators agree for every sample function.
 
-    At a support point the two values are maxima of finitely many averaging
-    functionals, over centered balls and over containing balls respectively.
-    They agree for every function exactly when each containing-ball functional
-    lies in the convex hull of the centered-ball functionals, which is decided
-    per functional by exact rational feasibility. `equal` carries the convex
-    coefficients; `distinct` converts the separating hyperplane into a witness
-    function and re-verifies it by direct evaluation.
+    Let S be the support of mu. At x in S the two values are maxima of the
+    averaging functionals of the balls centered at x and of the balls
+    containing x. The centered balls are nested, so a convex combination of
+    their functionals has a mu-density that does not increase with the
+    distance from x: a containing ball B's functional lies in their hull
+    exactly when B ∩ S is the trace of a centered ball. With R the largest
+    rank from x over B ∩ S, that holds iff B ∩ S holds every point of S of
+    rank <= R, and the centered ball of rank R is then the smallest match.
+
+    `equal` carries one certificate per (support point, containing ball),
+    naming with weight 1 the ball itself if it is centered at x, else that
+    centered ball. `distinct` stops at the first mismatch B, with p a
+    farthest point of B ∩ S and q the first point of S outside B of rank
+    <= R, so d(x,q) <= d(x,p) while B, around c, holds x and p but not q;
+    it carries (x, p, q, c). Its witness f is 1 on B ∩ S, 2 on the points
+    of B ∩ S of rank R, and -2 mu(B)/mu(q) at q: a centered ball that misses
+    rank R averages at most 1, one that reaches it holds q and averages at
+    most 0, and B averages above 1. Both values are re-evaluated directly.
     """
     if family is None:
         family = enumerate_balls(space)
-    ball_measures = _BallMeasures(family, mu)
-    measures = [Fraction(m, ball_measures.scale) for m in ball_measures.masses]
+    weights = mu.weights
+    support = mu.support
     certificates: list[HullCertificate] = []
-    for x in mu.support:
-        centered_idx = list(family.centered_at[x])
-        centered_set = set(centered_idx)
-        centered_vecs = [_functional(family.balls[i], mu, measures[i]) for i in centered_idx]
-        by_vector: dict[tuple[Fraction, ...], int] = {}
-        for i, vec in zip(centered_idx, centered_vecs):
-            by_vector.setdefault(vec, i)
+    for x in support:
+        centered = family.centered_at[x]
+        centered_set = set(centered)
+        rank = family.rank[x]
+        # count[r]: points of S of rank <= r from x
+        per_rank = [0] * len(centered)
+        for p in support:
+            per_rank[rank[p]] += 1
+        count = list(accumulate(per_rank))
         for j in family.containing[x]:
             if j in centered_set:
                 certificates.append(HullCertificate(x, j, ((j, _ONE),)))
                 continue
-            target = _functional(family.balls[j], mu, measures[j])
-            match = by_vector.get(target)
-            if match is not None:
-                certificates.append(HullCertificate(x, j, ((match, _ONE),)))
+            ball = family.balls[j]
+            trace = [p for p in ball.members if weights[p]]
+            top = max(map(rank.__getitem__, trace))
+            if len(trace) == count[top]:
+                certificates.append(HullCertificate(x, j, ((centered[top], _ONE),)))
                 continue
-            coeffs, separation = convex_combination(centered_vecs, target)
-            if coeffs is not None:
-                pairs = tuple(
-                    (centered_idx[k], lam) for k, lam in enumerate(coeffs) if lam != 0
-                )
-                certificates.append(HullCertificate(x, j, pairs))
-                continue
-            g, _t = separation
-            f = SampleFunction(tuple(g))
+            far = next(p for p in trace if rank[p] == top)
+            q = next(p for p in support if rank[p] <= top and p not in ball.members)
+            ball_measures = _BallMeasures(family, mu)
+            values = [_ZERO] * mu.n
+            for p in trace:
+                values[p] = Fraction(2 if rank[p] == top else 1)
+            values[q] = Fraction(-2 * ball_measures.masses[j], ball_measures.scale) / weights[q]
+            f = SampleFunction(tuple(values))
             cv = ball_measures.max_average(f, x, family.centered_at).value
             nv = ball_measures.max_average(f, x, family.containing).value
             if not nv > cv:
-                raise RuntimeError(
-                    "separating function failed direct re-evaluation; solver inconsistency"
-                )
+                raise RuntimeError("separating function failed direct re-evaluation")
             witness = Witness(
                 measure=mu, function=f, point=x, centered_value=cv, noncentered_value=nv
             )
-            return CoincidenceVerdict("distinct", "exact", witness=witness)
+            return CoincidenceVerdict(
+                "distinct", "exact", witness=witness, explanation=(x, far, q, ball.center)
+            )
     return CoincidenceVerdict("equal", "exact", certificates=tuple(certificates))
 
 
@@ -301,7 +316,7 @@ def verify_hull_certificates(
     verdict: CoincidenceVerdict,
     family: BallFamily | None = None,
 ) -> bool:
-    """Check an exact `equal` verdict by plain arithmetic, without the solver.
+    """Check an exact `equal` verdict by plain arithmetic, without the decision.
 
     Requires full coverage (one certificate per support point and containing
     ball) and, for each certificate, nonnegative coefficients over centered
@@ -533,7 +548,7 @@ class GridDemoReport:
     note: str
 
 
-def build_grid_demo(n: int, length: int | str | Fraction = 2) -> GridDemoReport:
+def build_grid_demo(n: int) -> GridDemoReport:
     """Uniform grid {k/n : 0 <= k <= 2n} on [0, 2] with the indicator of [0, 1].
 
     Evaluates both maximal operators exactly at x = 1 + 1/n and reports the
@@ -547,8 +562,6 @@ def build_grid_demo(n: int, length: int | str | Fraction = 2) -> GridDemoReport:
     """
     if n < 2:
         raise ValueError("need at least 2 subdivisions")
-    if as_rational(length) != 2:
-        raise ValueError("the demo interval is fixed to [0, 2]")
     coords = [Fraction(k, n) for k in range(2 * n + 1)]
     space = line_space(coords)
     mu = DiscreteMeasure(tuple(_ONE for _ in coords))

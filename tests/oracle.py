@@ -124,3 +124,30 @@ def metric_violations(dist):
                     )
                     out.append(("triangle", (i, j, k), detail))
     return out
+
+
+def coincides(space, weights):
+    """True iff at every support point x, each ball containing x has the trace
+    on the support of some ball centered at x."""
+    support = frozenset(p for p in range(space.n) if weights[p] != 0)
+    balls = all_ball_sets(space)
+    for x in support:
+        centered = {ball_members(space, x, r) & support for r in set(space.dist[x]) | {ZERO}}
+        if any(x in s and s & support not in centered for s in balls):
+            return False
+    return True
+
+
+def ultrametric_violation(dist):
+    """First (b, far, near) over pairs a < c, then b, with d(a,c) > max(d(a,b), d(b,c)).
+
+    far and near are a and c, far being c when d(b,c) >= d(b,a).
+    """
+    n = len(dist)
+    for a in range(n):
+        for c in range(a + 1, n):
+            for b in range(n):
+                if b in (a, c) or dist[a][c] <= max(dist[a][b], dist[b][c]):
+                    continue
+                return (b, c, a) if dist[b][c] >= dist[b][a] else (b, a, c)
+    return None

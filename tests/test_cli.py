@@ -206,6 +206,8 @@ class TestSubcommands:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["verdict"] == "distinct"
         assert result["witness"]
+        # the ball {0, 1} around 0 holds 1 and 0 but not 2, as near to 1 as 0
+        assert result["explanation"] == {"point": "1", "farthest": "0", "nearer": "2", "center": "0"}
 
     def test_coincide_randomized_seeded(self, files, capsys):
         argv = [

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle
 from maxlab import (
+    FiniteMetricSpace,
     MetricAxiomError,
     closed_ball,
     enumerate_balls,
@@ -137,6 +138,26 @@ class TestUltrametric:
             assert space.dist[x][z] <= space.dist[x][y] < space.dist[z][y]
 
 
+# Symmetric matrices with a zero diagonal over few distinct values, so that
+# ties are frequent and many are ultrametric or nearly so.
+@st.composite
+def tied_matrices(draw):
+    n = draw(st.integers(1, 8))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+    return tuple(tuple(row) for row in dist)
+
+
+class TestUltrametricScan:
+    @given(st.one_of(spaces.map(lambda s: s.dist), tied_matrices(), malformed_matrices()))
+    @settings(max_examples=300, deadline=None)
+    def test_violation_matches_brute_force(self, dist):
+        space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+        assert ultrametric_violation(space) == oracle.ultrametric_violation(dist)
+
+
 class TestBalls:
     def test_closed_ball_examples(self, line3):
         assert closed_ball(line3, 1, 1).members == (0, 1, 2)
@@ -186,6 +207,12 @@ class TestBalls:
             assert set(family.centered_at[x]) <= set(family.containing[x])
             for idx in family.containing[x]:
                 assert x in family.balls[idx].members
+            # rank[x][p] names the smallest ball around x holding p
+            for p in range(space.n):
+                idx = family.centered_at[x][family.rank[x][p]]
+                assert frozenset(family.balls[idx].members) == oracle.ball_members(
+                    space, x, space.dist[x][p]
+                )
 
     @given(spaces, st.data())
     @settings(max_examples=50, deadline=None)

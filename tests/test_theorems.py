@@ -195,6 +195,75 @@ class TestCoincidenceExact:
                     assert verify_witness(space, exact.witness)
 
 
+# Small spaces with tied distances (quarter-integer taxicab lattices, integer
+# graph lengths) and measures with zero weights, so that many balls are
+# centered outside the support.
+small_spaces = st.one_of(
+    st.tuples(st.integers(1, 7), st.integers(1, 2), st.integers(0, 10**6)).map(
+        lambda t: gen_taxicab(t[0], dim=t[1], seed=t[2])
+    ),
+    st.tuples(st.integers(1, 7), st.integers(0, 10**6)).map(
+        lambda t: gen_graph_metric(t[0], edge_probability=0.45, seed=t[1])
+    ),
+    st.tuples(st.integers(1, 7), st.integers(0, 10**6)).map(
+        lambda t: gen_ultrametric(t[0], seed=t[1])
+    ),
+)
+weight_values = st.sampled_from([Q(0), Q(0), Q(1), Q(2), Q(1, 3), Q(5, 7)])
+
+
+class TestTraceDecision:
+    def test_outer_triple_pinned(self):
+        # {g2, g3, g4} is ultrametric as a subspace, but the ball {g1, g3, g4}
+        # around g1, outside the support, holds g3 and g4 and cuts g2 off
+        space = gen_graph_metric(5, edge_probability=0.45, seed=7)
+        mu = DiscreteMeasure((0, 0, 1, 1, 1))
+        assert ultrametric_violation(space.restrict([2, 3, 4])) is None
+        verdict = coincidence_exact(space, mu)
+        assert verdict.verdict == "distinct"
+        assert [space.labels[i] for i in verdict.explanation] == ["g3", "g4", "g2", "g1"]
+        witness = verdict.witness
+        assert witness.point == 3
+        assert witness.function.values == (0, 0, -4, 1, 2)
+        assert (witness.centered_value, witness.noncentered_value) == (1, Q(3, 2))
+        assert verify_witness(space, witness)
+
+    @given(small_spaces, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trace_oracle(self, space, data):
+        weights = data.draw(
+            st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
+        )
+        mu = DiscreteMeasure(tuple(weights))
+        family = enumerate_balls(space)
+        verdict = coincidence_exact(space, mu, family=family)
+        assert (verdict.verdict == "equal") == oracle.coincides(space, weights)
+        support = frozenset(mu.support)
+        dist = space.dist
+        if verdict.verdict == "equal":
+            assert verify_hull_certificates(space, mu, verdict, family=family)
+            for cert in verdict.certificates:
+                x, j = cert.point, cert.ball_index
+                ((idx, weight),) = cert.coefficients
+                assert weight == 1
+                if j in family.centered_at[x]:  # a centered ball certifies itself
+                    assert idx == j
+                    continue
+                # otherwise the smallest ball centered at x with the same trace
+                trace = frozenset(family.balls[j].members) & support
+                r = min(r for r in dist[x] if oracle.ball_members(space, x, r) & support == trace)
+                assert frozenset(family.balls[idx].members) == oracle.ball_members(space, x, r)
+        else:
+            witness = verdict.witness
+            x, f = witness.point, witness.function
+            assert witness.centered_value == oracle.centered_value(space, mu, f, x)
+            assert witness.noncentered_value == oracle.noncentered_value(space, mu, f, x)
+            ex, p, q, c = verdict.explanation
+            assert ex == x and {p, q} <= support
+            r = max(dist[c][x], dist[c][p])  # the smallest ball around c holding x and p
+            assert dist[x][q] <= dist[x][p] and dist[c][q] > r
+
+
 class TestForwardDirection:
     @given(
         st.integers(1, 12),
@@ -330,8 +399,6 @@ class TestGridDemo:
     def test_demo_preconditions(self):
         with pytest.raises(ValueError, match="subdivisions"):
             build_grid_demo(1)
-        with pytest.raises(ValueError, match="interval"):
-            build_grid_demo(10, length=3)
 
 
 class TestBumpRefinement:
