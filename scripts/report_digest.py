@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Print one sha256 per maxlab report over a fixed set of seeded inputs.
+
+The inputs are the seed-1 inputs of the three benchmark workloads and every
+small-catalog space (tests/corpus.py) with each weight vector over {0, 1, 2}.
+The first run writes them into DIR, with a list in DIR/cases.json; later runs
+reuse them, so the input paths and hashes that every report records stay the
+same. On each input the script runs, in-process, `coincide` (exact, and
+randomized with 0, 6 and 200 trials), `lemma22` and `maximal`; a benchmark
+audit input gets `lemma22` only. It prints the sha256 of each report's bytes,
+the exit code and the report's name.
+
+The script loads the `src/`, `bench/` and `tests/` next to it. To show that
+two checkouts write byte-identical reports, put a copy of it in each, run both
+copies on the same DIR and diff the outputs:
+
+    python3 scripts/report_digest.py /tmp/digest > after.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for sub in ("src", "bench", "tests"):
+    sys.path.insert(0, str(ROOT / sub))
+
+import inputs  # noqa: E402  (bench/inputs.py)
+from corpus import small_catalog, weight_grid  # noqa: E402
+from maxlab import io as mio  # noqa: E402
+from maxlab.cli import main as maxlab_main  # noqa: E402
+
+SEED = 1
+RANDOMIZED_TRIALS = (0, 6, 200)
+
+
+def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None]]:
+    """Write every input into folder; return (name, space, measure, fn) per input.
+
+    The benchmark's audit inputs come back with fn None: they feed `lemma22` only.
+    """
+    cases = []
+    for workload in inputs.WORKLOADS:
+        sub = folder / workload
+        sub.mkdir(parents=True)
+        bundles, _ = inputs.build(workload, SEED, sub)
+        for b in bundles:
+            cases.append((b.name, b.space, b.measure, b.fn))
+            cases.append((f"{b.name}.audit", b.audit_space, b.audit_measure, None))
+    sub = folder / "catalog"
+    sub.mkdir()
+    for k, space in enumerate(small_catalog()):
+        space_path = sub / f"c{k}.space.json"
+        mio.write_json(mio.space_to_json(space), space_path)
+        rng = random.Random(f"catalog:{k}")
+        fn_path = sub / f"c{k}.fn.json"
+        mio.write_json({"f": [str(rng.randint(-9, 9)) for _ in range(space.n)]}, fn_path)
+        for mu in weight_grid(space.n, levels=(0, 1, 2)):
+            tag = "".join(str(w) for w in mu.weights)
+            measure_path = sub / f"c{k}.w{tag}.measure.json"
+            mio.write_json(mio.measure_to_json(mu), measure_path)
+            cases.append((f"catalog[{k}].w{tag}", space_path, measure_path, fn_path))
+    return cases
+
+
+def digest(argv: list[str]) -> tuple[str, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = maxlab_main(argv)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("dir", type=Path, help="input directory, written on the first run")
+    args = parser.parse_args()
+    manifest = args.dir / "cases.json"
+    if not manifest.exists():
+        cases = write_inputs(args.dir / "inputs")
+        rows = [[name, *(str(p) if p else None for p in paths)] for name, *paths in cases]
+        manifest.write_text(json.dumps(rows, indent=1), encoding="utf-8")
+    for name, space, measure, fn in json.loads(manifest.read_text(encoding="utf-8")):
+        common = ["--space", str(space), "--measure", str(measure), "--seed", str(SEED)]
+        runs = {"lemma22": ["lemma22", *common]}
+        if fn is not None:
+            runs["coincide.exact"] = ["coincide", *common, "--mode", "exact"]
+            for trials in RANDOMIZED_TRIALS:
+                runs[f"coincide.randomized.{trials}"] = [
+                    "coincide", *common, "--mode", "randomized", "--trials", str(trials)
+                ]
+            runs["maximal"] = ["maximal", *common, "--fn", str(fn)]
+        for report, argv in runs.items():
+            sha, code = digest(argv)
+            print(f"{sha}  {code}  {name} {report}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,8 +68,16 @@ def parse_scalar(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
         try:
-            return Fraction(value.strip())
+            # ASCII [+-]digits[/digits] skips Fraction's regex; everything else
+            # goes to it, since int() would also take the spaces and signs
+            # around a denominator ("3/ 4", "3/-4") that Fraction rejects
+            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"cannot parse scalar {value!r}: {exc}") from None
     if isinstance(value, float):

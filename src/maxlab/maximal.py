@@ -124,9 +124,7 @@ class _BallMeasures:
         weights, k = _scaled(nu.weights)
         return self._sums(weights, indices), Fraction(self.scale, k)
 
-    def _best(
-        self, sums: dict[int, int], factor: Fraction, indices: Sequence[int]
-    ) -> MaximalValue:
+    def _best(self, sums: dict[int, int], indices: Sequence[int]) -> int:
         """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball."""
         if not indices:
             raise ValueError("no candidate balls")
@@ -138,8 +136,12 @@ class _BallMeasures:
             lhs, rhs = s * best_m, best_s * m
             if lhs > rhs or (lhs == rhs and tie_rank[i] < tie_rank[best]):
                 best, best_s, best_m = i, s, m
-        value = Fraction(best_s * factor.numerator, best_m * factor.denominator)
-        return MaximalValue(value=value, ball=self.family.balls[best])
+        return best
+
+    def _value(self, sums: dict[int, int], factor: Fraction, i: int) -> MaximalValue:
+        """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
+        value = Fraction(sums[i] * factor.numerator, (self.masses[i] or 1) * factor.denominator)
+        return MaximalValue(value=value, ball=self.family.balls[i])
 
     def max_average(
         self, f: SampleFunction, x: int, candidates: Sequence[Sequence[int]]
@@ -147,7 +149,8 @@ class _BallMeasures:
         """Max ball average of f over candidates[x] (the family's centered_at or containing)."""
         self._require_support(x)
         indices = candidates[x]
-        return self._best(*self._average_sums(f, indices), indices)
+        sums, factor = self._average_sums(f, indices)
+        return self._value(sums, factor, self._best(sums, indices))
 
     def max_ratio(
         self, nu: DiscreteMeasure, x: int, candidates: Sequence[Sequence[int]]
@@ -155,7 +158,8 @@ class _BallMeasures:
         """Max of nu(B)/mu(B) over candidates[x] (the family's centered_at or containing)."""
         self._require_support(x)
         indices = candidates[x]
-        return self._best(*self._ratio_sums(nu, indices), indices)
+        sums, factor = self._ratio_sums(nu, indices)
+        return self._value(sums, factor, self._best(sums, indices))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
         family = self.family
@@ -174,6 +178,17 @@ class _BallMeasures:
             raise AssertionError("ball family is missing a whole-space ball")
         return Fraction(best_m, self.scale), family.balls[best]
 
+    def pair_masses(self, p: int) -> list[int]:
+        """For every point x, the smallest scaled measure of a ball holding both p and x."""
+        balls, masses = self.family.balls, self.masses
+        row = [0] * self.family.n
+        # largest balls first, so each point keeps the smallest mass written to it
+        for i in sorted(self.family.containing[p], key=masses.__getitem__, reverse=True):
+            m = masses[i]
+            for x in balls[i].members:
+                row[x] = m
+        return row
+
     def field(self, f: SampleFunction) -> MaximalReport:
         family = self.family
         sums, factor = self._average_sums(f, range(len(family.balls)))
@@ -181,13 +196,31 @@ class _BallMeasures:
             points=tuple(
                 PointMaximal(
                     point=x,
-                    centered=self._best(sums, factor, family.centered_at[x]),
-                    noncentered=self._best(sums, factor, family.containing[x]),
+                    centered=self._value(sums, factor, self._best(sums, family.centered_at[x])),
+                    noncentered=self._value(sums, factor, self._best(sums, family.containing[x])),
                 )
                 for x, w in enumerate(self.weights)
                 if w
             )
         )
+
+    def first_gap(self, f: SampleFunction) -> tuple[int, MaximalValue, MaximalValue] | None:
+        """The first support point where the non-centered value of f beats the centered one.
+
+        Compares the two argmax balls' integer (sum, mass) pairs point by
+        point, as `field` would, and builds the values only for the point
+        returned, with its centered and non-centered maxima.
+        """
+        family, masses = self.family, self.masses
+        sums, factor = self._average_sums(f, range(len(family.balls)))
+        for x, w in enumerate(self.weights):
+            if not w:
+                continue
+            c = self._best(sums, family.centered_at[x])
+            nc = self._best(sums, family.containing[x])
+            if sums[nc] * (masses[c] or 1) > sums[c] * (masses[nc] or 1):
+                return x, self._value(sums, factor, c), self._value(sums, factor, nc)
+        return None
 
 
 def centered_maximal(

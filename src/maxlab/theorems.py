@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -25,7 +26,6 @@ from .measure import (
     SampleFunction,
     measure_of,
     normalized_indicator,
-    dirac,
 )
 from .metric import (
     Ball,
@@ -165,22 +165,6 @@ def construct_witness(
     return Witness(measure=nu, function=f, point=x, centered_value=cv, noncentered_value=nv)
 
 
-def _first_gap(
-    mu: DiscreteMeasure, ball_measures: _BallMeasures, f: SampleFunction
-) -> Witness | None:
-    report = ball_measures.field(f)
-    for entry in report.points:
-        if entry.noncentered.value > entry.centered.value:
-            return Witness(
-                measure=mu,
-                function=f,
-                point=entry.point,
-                centered_value=entry.centered.value,
-                noncentered_value=entry.noncentered.value,
-            )
-    return None
-
-
 def coincidence_randomized(
     space: FiniteMetricSpace,
     mu: DiscreteMeasure,
@@ -191,29 +175,55 @@ def coincidence_randomized(
 ) -> CoincidenceVerdict:
     """Search for a function separating the two maximal fields.
 
-    Phase 1 tries the unit-mass indicator of each support point (the functions
-    behind the explicit witness construction); phase 2 tries `trials` random
-    integer-valued functions from the seeded generator. An `equal` answer is
-    inconclusive; a `distinct` answer carries the first witness found.
+    Phase 1 tries the unit-mass indicator of each support point p in turn
+    (the functions behind the explicit witness construction); phase 2 tries
+    `trials` random integer-valued functions from the seeded generator. An
+    `equal` answer is inconclusive; a `distinct` answer carries the first
+    witness found: the first p, then the first support point x at which the
+    non-centered value exceeds the centered one.
+
+    Phase 1 reads its values off integer ball masses. A ball averages the
+    indicator of p to 1/mu(B) if it holds p and to 0 otherwise, so at x the
+    centered value is 1/mu(B(x, d(x,p))) and the non-centered one is 1 over
+    the smallest mass of a ball holding both x and p, which one sweep over the
+    balls containing p gives for every x. Only the witness is re-evaluated,
+    directly. Phase 2 compares integer (sum, mass) pairs point by point and
+    stops at the first gap.
+
+    Phase 1 alone already decides. If the operators differ at all, some
+    ball B holds x and p but misses a q in the support S with
+    d(x,q) <= d(x,p) (see `coincidence_exact`). Let p* be a point of B ∩ S
+    farthest from x. B ∩ S lies in B(x, d(x,p*)), which also holds q, so
+    mu(B) <= mu(B(x, d(x,p*))) - mu(q) < mu(B(x, d(x,p*))): the indicator of
+    p* separates the operators at x. So when they differ, phase 1 returns
+    before phase 2 starts, and phase 2 can only end in `equal`.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if family is None:
         family = enumerate_balls(space)
     ball_measures = _BallMeasures(family, mu)
-    for p in mu.support:
-        f = normalized_indicator(space, (p,), mu)
-        witness = _first_gap(mu, ball_measures, f)
-        if witness is not None:
-            return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
+    masses = ball_measures.masses
+    support = mu.support
+    for p in support:
+        pair_masses = ball_measures.pair_masses(p)
+        for x in support:
+            if pair_masses[x] < masses[family.centered_at[x][family.rank[x][p]]]:
+                f = normalized_indicator(space, (p,), mu)
+                cv = ball_measures.max_average(f, x, family.centered_at).value
+                nv = ball_measures.max_average(f, x, family.containing).value
+                witness = Witness(mu, f, x, centered_value=cv, noncentered_value=nv)
+                return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
     rng = random.Random(seed)
     lo, hi = value_range
     if lo > hi:
         raise ValueError("empty value range")
     for t in range(trials):
         f = SampleFunction(tuple(Fraction(rng.randint(lo, hi)) for _ in range(space.n)))
-        witness = _first_gap(mu, ball_measures, f)
-        if witness is not None:
+        gap = ball_measures.first_gap(f)
+        if gap is not None:
+            x, cv, nv = gap
+            witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
             return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=t + 1)
     return CoincidenceVerdict("equal", "randomized", trials=trials)
 
@@ -402,33 +412,50 @@ def check_ball_infimum(
     of the point-mass maximal at y by 1/measure(B(y,d)). All three hold
     whenever the two maximal operators coincide for every function; each row
     records whether they hold here.
+
+    Every value is read off integer ball masses and the family's per-center
+    ranks. B(y, d(x,y)) is the ball of rank rank[y][x] around y. The smallest
+    ball around c holding x and y is the one of rank max(rank[c][x],
+    rank[c][y]), so the pair infimum is a minimum over the centers c. The
+    point-mass maximal is 1 over the smallest mass of a ball holding x and y
+    found by a separate sweep over the balls containing x, so the identity
+    dirac_maximal * pair_infimum = 1 stays a check between two computations.
     """
     if family is None:
         family = enumerate_balls(space)
     ball_measures = _BallMeasures(family, mu)
+    masses, scale = ball_measures.masses, ball_measures.scale
+    # rows repeat few distinct masses: build each Fraction once
+    measure = cache(lambda m: Fraction(m, scale))
+    reciprocal = cache(lambda m: Fraction(scale, m))
+    rank = family.rank
+    rank_of = list(zip(*rank))  # rank_of[p][c] == rank[c][p]
+    # mass_rows[c][k]: scaled measure of the k-th smallest ball centered at c
+    mass_rows = [[masses[i] for i in row] for row in family.centered_at]
     support = mu.support
     rows: list[PairBallCheck] = []
     for x in support:
-        delta_x = dirac(space, x)
+        dirac_row = ball_measures.pair_masses(x)
+        # row c clipped below x's rank: entry k is the smallest ball around c
+        # holding x and the points of rank k
+        holding_x = [row[r : r + 1] * r + row[r:] for row, r in zip(mass_rows, rank_of[x])]
         for y in support:
             if y == x:
                 continue
-            d = space.dist[x][y]
-            m_y = measure_of(mu, closed_ball(space, y, d))
-            m_x = measure_of(mu, closed_ball(space, x, d))
-            inf_m, _ = ball_measures.inf_pair(x, y)
-            dm = ball_measures.max_ratio(delta_x, y, family.containing).value
+            m_y = mass_rows[y][rank[y][x]]
+            m_x = mass_rows[x][rank[x][y]]
+            inf_m = min(map(list.__getitem__, holding_x, rank_of[y]))
             rows.append(
                 PairBallCheck(
                     x=x,
                     y=y,
-                    measure_ball_y=m_y,
-                    pair_infimum=inf_m,
-                    measure_ball_x=m_x,
-                    dirac_maximal=dm,
+                    measure_ball_y=measure(m_y),
+                    pair_infimum=measure(inf_m),
+                    measure_ball_x=measure(m_x),
+                    dirac_maximal=reciprocal(dirac_row[y]),
                     inequality_holds=m_y <= inf_m,
                     symmetry_holds=m_y == m_x,
-                    dirac_bound_holds=dm * m_y <= 1,
+                    dirac_bound_holds=m_y <= dirac_row[y],
                 )
             )
     return BallInfimumReport(pairs=tuple(rows))

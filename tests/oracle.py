@@ -70,6 +70,19 @@ def argmax_ball(space, mu, f, x, centered):
     return best, min(winners, key=lambda m: (len(m), m))
 
 
+def mass(mu, members):
+    return sum((mu.weights[p] for p in members), ZERO)
+
+
+def dirac_maximal(space, mu, x, y):
+    """Largest delta_x(B) / mu(B) over the closed balls B containing y (0 where mu(B) = 0)."""
+    best = ZERO
+    for members in all_ball_sets(space):
+        if y in members and x in members and mass(mu, members):
+            best = max(best, 1 / mass(mu, members))
+    return best
+
+
 def inf_pair_measure(space, mu, x, y):
     best = None
     for c in range(space.n):

@@ -52,6 +52,41 @@ class TestScalars:
         with pytest.raises(mio.InputFormatError):
             mio.parse_scalar(True)
 
+    # Fraction's own grammar is the reference for every string: the ASCII
+    # [+-]digits[/digits] fast path must accept and reject exactly as it does.
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789+-/ _.eE\t\u0663", max_size=8),
+            st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(-(10**6), 10**6)),
+            st.integers(-(10**30), 10**30).map(str),
+        )
+    )
+    @settings(max_examples=500)
+    def test_parse_matches_fraction(self, text):
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(mio.InputFormatError):
+                mio.parse_scalar(text)
+        else:
+            assert mio.parse_scalar(text) == expected
+
+    @pytest.mark.parametrize("text", ["3/ 4", "3/-4", "3/+4", "3/0", "1_000", "\u0663", "1e3", "1.25"])
+    def test_near_misses_of_the_fast_path(self, files, tmp_path, capsys, text):
+        # int() alone would take the first three; Fraction rejects them
+        measure = tmp_path / "m.json"
+        mio.write_json({"weights": [text, 1, 1]}, measure)
+        code = main(["lemma22", "--space", str(files / "line3.json"), "--measure", str(measure)])
+        captured = capsys.readouterr()
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            assert code == EXIT_INPUT_ERROR
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        else:
+            assert code == EXIT_OK
+            assert mio.parse_scalar(text) == expected
+
 
 class TestRoundTrips:
     @given(n=st.integers(1, 9), seed=st.integers(0, 10**6))

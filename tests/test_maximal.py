@@ -24,6 +24,7 @@ from maxlab import (
     noncentered_maximal_measure,
     validate_space,
 )
+from maxlab.maximal import _BallMeasures
 
 
 # Pairwise coprime denominators, so that the lcm scaling of the integer
@@ -183,6 +184,18 @@ class TestProperties:
             for got, centered in ((e.centered, True), (e.noncentered, False)):
                 expected = oracle.argmax_ball(space, mu, f, e.point, centered)
                 assert (got.value, got.ball.members) == expected
+
+    @given(instances())
+    @settings(max_examples=60, deadline=None)
+    def test_first_gap_matches_field(self, inst):
+        space, mu, f = inst
+        ball_measures = _BallMeasures(enumerate_balls(space), mu)
+        gaps = (
+            (e.point, e.centered, e.noncentered)
+            for e in ball_measures.field(f).points
+            if e.noncentered.value > e.centered.value
+        )
+        assert ball_measures.first_gap(f) == next(gaps, None)
 
     @given(instances())
     @settings(max_examples=60, deadline=None)

@@ -264,6 +264,114 @@ class TestTraceDecision:
             assert dist[x][q] <= dist[x][p] and dist[c][q] > r
 
 
+class TestBallInfimumDifferential:
+    @given(small_spaces, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_brute_force(self, space, data):
+        weights = data.draw(
+            st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
+        )
+        mu = DiscreteMeasure(tuple(weights))
+        report = check_ball_infimum(space, mu)
+        support = mu.support
+        assert [(r.x, r.y) for r in report.pairs] == [
+            (x, y) for x in support for y in support if x != y
+        ]
+        for row in report.pairs:
+            x, y = row.x, row.y
+            d = space.dist[x][y]
+            m_y = oracle.mass(mu, oracle.ball_members(space, y, d))
+            m_x = oracle.mass(mu, oracle.ball_members(space, x, d))
+            inf_m = oracle.inf_pair_measure(space, mu, x, y)
+            dm = oracle.dirac_maximal(space, mu, x, y)
+            assert (row.measure_ball_y, row.pair_infimum, row.measure_ball_x) == (m_y, inf_m, m_x)
+            assert row.dirac_maximal == dm
+            assert row.inequality_holds == (m_y <= inf_m)
+            assert row.symmetry_holds == (m_y == m_x)
+            assert row.dirac_bound_holds == (dm * m_y <= 1)
+            assert row.dirac_maximal * row.pair_infimum == 1
+
+
+class TestPointMassSearch:
+    @given(small_spaces, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_phase1_witness_is_first_separated_pair(self, space, data):
+        weights = data.draw(
+            st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
+        )
+        mu = DiscreteMeasure(tuple(weights))
+        support = mu.support
+        separated = (
+            (p, x)
+            for p in support
+            for x in support
+            if oracle.inf_pair_measure(space, mu, x, p)
+            < oracle.mass(mu, oracle.ball_members(space, x, space.dist[x][p]))
+        )
+        expected = next(separated, None)
+        verdict = coincidence_randomized(space, mu, trials=0, seed=0)
+        assert verdict.trials == 0
+        if expected is None:
+            assert verdict.verdict == "equal"
+            return
+        p, x = expected
+        witness = verdict.witness
+        assert verdict.verdict == "distinct"
+        assert (witness.measure, witness.point) == (mu, x)
+        assert witness.function == normalized_indicator(space, (p,), mu)
+        assert witness.centered_value == oracle.centered_value(space, mu, witness.function, x)
+        assert witness.noncentered_value == oracle.noncentered_value(
+            space, mu, witness.function, x
+        )
+
+    @given(
+        st.integers(0, 2),
+        st.integers(1, 10),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 0.3, 0.6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_phase1_alone_decides(self, kind, n, seed, zero_fraction):
+        # a separating triple (x, p, q) makes the indicator of the point of
+        # B ∩ S farthest from x a witness, so phase 1 misses no `distinct`
+        if kind == 0:
+            space = gen_taxicab(n, dim=1 + seed % 2, seed=seed)
+        elif kind == 1:
+            space = gen_graph_metric(n, edge_probability=0.45, seed=seed)
+        else:
+            space = gen_ultrametric(n, seed=seed)
+        mu = gen_measure(space, seed=seed + 1, zero_fraction=zero_fraction)
+        family = enumerate_balls(space)
+        randomized = coincidence_randomized(space, mu, trials=0, seed=0, family=family)
+        assert randomized.verdict == coincidence_exact(space, mu, family=family).verdict
+
+    def test_seeded_verdicts_pinned(self):
+        space = gen_graph_metric(6, edge_probability=0.45, seed=2)
+        mu = gen_measure(space, seed=1, zero_fraction=0.3)
+        verdict = coincidence_randomized(space, mu, trials=50, seed=9)
+        assert (verdict.verdict, verdict.trials, verdict.witness.point) == ("distinct", 0, 3)
+        assert verdict.witness.function.values == (0, 0, 0, 0, 2, 0)
+        assert (verdict.witness.centered_value, verdict.witness.noncentered_value) == (
+            Q(6, 19),
+            Q(2, 5),
+        )
+
+        space = gen_taxicab(6, dim=2, seed=5)
+        mu = gen_measure(space, seed=3, zero_fraction=0.3)
+        verdict = coincidence_randomized(space, mu, trials=20, seed=5)
+        assert (verdict.verdict, verdict.trials, verdict.witness.point) == ("distinct", 0, 3)
+        assert verdict.witness.function.values == (0, Q(2, 3), 0, 0, 0, 0)
+        assert (verdict.witness.centered_value, verdict.witness.noncentered_value) == (
+            Q(12, 89),
+            Q(12, 77),
+        )
+
+        space = gen_ultrametric(7, seed=4)
+        mu = gen_measure(space, seed=2, zero_fraction=0.3)
+        verdict = coincidence_randomized(space, mu, trials=30, seed=2)
+        assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 30, None)
+
+
 class TestForwardDirection:
     @given(
         st.integers(1, 12),
