@@ -3,12 +3,14 @@
 
 The inputs are the seed-1 inputs of the three benchmark workloads and every
 small-catalog space (tests/corpus.py) with each weight vector over {0, 1, 2}.
-The first run writes them into DIR, with a list in DIR/cases.json; later runs
-reuse them, so the input paths and hashes that every report records stay the
-same. On each input the script runs, in-process, `coincide` (exact, and
-randomized with 0, 6 and 200 trials), `lemma22` and `maximal`; a benchmark
-audit input gets `lemma22` only. It prints the sha256 of each report's bytes,
-the exit code and the report's name.
+Each input also gets a seeded `lsc` sequence file. The first run writes them
+into DIR, with a list in DIR/cases.json; later runs reuse them, so the input
+paths and hashes that every report records stay the same. On each input the
+script runs, in-process, `coincide` (exact, and randomized with 0, 6 and 200
+trials), `lemma22`, `lsc` and `maximal`; a benchmark audit input gets
+`lemma22` and `lsc` only. Each distinct space gets `balls` and `witness`, and
+`demo-grid` runs for n = 2 to 12. It prints the sha256 of each report's
+bytes, the exit code and the report's name.
 
 The script loads the `src/`, `bench/` and `tests/` next to it. To show that
 two checkouts write byte-identical reports, put a copy of it in each, run both
@@ -24,6 +26,7 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,12 +40,44 @@ from maxlab.cli import main as maxlab_main  # noqa: E402
 
 SEED = 1
 RANDOMIZED_TRIALS = (0, 6, 200)
+GRID_SIZES = range(2, 13)
+LSC_STEPS = 5
 
 
-def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None]]:
-    """Write every input into folder; return (name, space, measure, fn) per input.
+def write_sequence(path: Path, space_path: Path, measure_path: Path, name: str) -> Path:
+    """A seeded `lsc` sequence converging to a random limit, at mu's first support point x.
 
-    The benchmark's audit inputs come back with fn None: they feed `lemma22` only.
+    The limit's weights are integers in [0, 3], and at least 1 at x. Step k
+    adds an integer in [0, 3] over k + 2 to each, so the last step deviates by
+    at most 3 / (LSC_STEPS + 1).
+    """
+    labels = mio.load_space(space_path).labels
+    weights = mio.load_measure(measure_path).weights
+    x = next(p for p, w in enumerate(weights) if w)
+    rng = random.Random(f"lsc:{name}")
+    limit = [rng.randint(0, 3) for _ in weights]
+    limit[x] = max(limit[x], 1)
+    sequence = [
+        [mio.scalar_str(v + Fraction(rng.randint(0, 3), k + 2)) for v in limit]
+        for k in range(LSC_STEPS)
+    ]
+    mio.write_json(
+        {
+            "sequence": sequence,
+            "limit": limit,
+            "point": labels[x],
+            "deviation_bound": f"3/{LSC_STEPS + 1}",
+        },
+        path,
+    )
+    return path
+
+
+def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None, Path]]:
+    """Write every input into folder; return (name, space, measure, fn, sequence) per input.
+
+    The benchmark's audit inputs come back with fn None: they feed `lemma22`
+    and `lsc` only.
     """
     cases = []
     for workload in inputs.WORKLOADS:
@@ -50,8 +85,12 @@ def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None]]:
         sub.mkdir(parents=True)
         bundles, _ = inputs.build(workload, SEED, sub)
         for b in bundles:
-            cases.append((b.name, b.space, b.measure, b.fn))
-            cases.append((f"{b.name}.audit", b.audit_space, b.audit_measure, None))
+            for name, space, measure, fn in (
+                (b.name, b.space, b.measure, b.fn),
+                (f"{b.name}.audit", b.audit_space, b.audit_measure, None),
+            ):
+                sequence = write_sequence(sub / f"{name}.lsc.json", space, measure, name)
+                cases.append((name, space, measure, fn, sequence))
     sub = folder / "catalog"
     sub.mkdir()
     for k, space in enumerate(small_catalog()):
@@ -62,9 +101,11 @@ def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None]]:
         mio.write_json({"f": [str(rng.randint(-9, 9)) for _ in range(space.n)]}, fn_path)
         for mu in weight_grid(space.n, levels=(0, 1, 2)):
             tag = "".join(str(w) for w in mu.weights)
+            name = f"catalog[{k}].w{tag}"
             measure_path = sub / f"c{k}.w{tag}.measure.json"
             mio.write_json(mio.measure_to_json(mu), measure_path)
-            cases.append((f"catalog[{k}].w{tag}", space_path, measure_path, fn_path))
+            sequence = write_sequence(sub / f"c{k}.w{tag}.lsc.json", space_path, measure_path, name)
+            cases.append((name, space_path, measure_path, fn_path, sequence))
     return cases
 
 
@@ -84,9 +125,14 @@ def main() -> int:
         cases = write_inputs(args.dir / "inputs")
         rows = [[name, *(str(p) if p else None for p in paths)] for name, *paths in cases]
         manifest.write_text(json.dumps(rows, indent=1), encoding="utf-8")
-    for name, space, measure, fn in json.loads(manifest.read_text(encoding="utf-8")):
+    spaces = set()
+    for name, space, measure, fn, sequence in json.loads(manifest.read_text(encoding="utf-8")):
         common = ["--space", str(space), "--measure", str(measure), "--seed", str(SEED)]
-        runs = {"lemma22": ["lemma22", *common]}
+        runs = {"lemma22": ["lemma22", *common], "lsc": ["lsc", *common, "--sequence", sequence]}
+        if space not in spaces:
+            spaces.add(space)
+            for sub in ("balls", "witness"):
+                runs[sub] = [sub, "--space", space, "--seed", str(SEED)]
         if fn is not None:
             runs["coincide.exact"] = ["coincide", *common, "--mode", "exact"]
             for trials in RANDOMIZED_TRIALS:
@@ -97,6 +143,9 @@ def main() -> int:
         for report, argv in runs.items():
             sha, code = digest(argv)
             print(f"{sha}  {code}  {name} {report}")
+    for n in GRID_SIZES:
+        sha, code = digest(["demo-grid", "--n", str(n), "--seed", str(SEED)])
+        print(f"{sha}  {code}  grid[{n}] demo-grid")
     return 0
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -45,16 +44,6 @@ from .theorems import (
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: what ran, on which files, with which knobs."""
-
-    subcommand: str
-    inputs: tuple[tuple[str, str], ...]  # (role, path)
-    seed: int
-    out: str | None
 
 
 class MathFailure(Exception):
@@ -315,19 +304,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = _resolve_seed(args)
-        config = RunConfig(
-            subcommand=args.subcommand,
-            inputs=_collect_inputs(args),
-            seed=seed,
-            out=getattr(args, "out", None),
-        )
     except mio.InputFormatError as exc:
         print(f"maxlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     def envelope(result: dict) -> dict:
         inputs = []
-        for role, path in config.inputs:
+        for role, path in _collect_inputs(args):
             entry = {"role": role, "path": path}
             try:
                 entry["sha256"] = mio.file_sha256(path)
@@ -335,14 +318,14 @@ def main(argv: list[str] | None = None) -> int:
                 entry["sha256"] = None
             inputs.append(entry)
         return {
-            "subcommand": config.subcommand,
-            "seed": config.seed,
+            "subcommand": args.subcommand,
+            "seed": seed,
             "inputs": inputs,
             "result": result,
         }
 
     # `gen` consumes --out for the generated space file; its report goes to stdout
-    report_out = None if args.subcommand == "gen" else config.out
+    report_out = None if args.subcommand == "gen" else args.out
 
     try:
         result = _HANDLERS[args.subcommand](args, seed)

@@ -24,7 +24,6 @@ from .metric import Ball, BallFamily, FiniteMetricSpace, validate_space
 from .maximal import MaximalReport
 from .theorems import (
     BallInfimumReport,
-    BumpRefinementReport,
     CoincidenceVerdict,
     GridDemoReport,
     LowerSemicontinuityReport,
@@ -49,7 +48,6 @@ __all__ = [
     "ball_infimum_report_to_json",
     "lsc_report_to_json",
     "grid_demo_to_json",
-    "bump_report_to_json",
     "file_sha256",
     "write_json",
 ]
@@ -241,17 +239,16 @@ def verdict_to_json(
         keys = ("point", "farthest", "nearer", "center")
         out["explanation"] = {k: space.labels[i] for k, i in zip(keys, verdict.explanation)}
     if verdict.certificates is not None:
+
+        def members(i: int) -> list[str]:
+            return [space.labels[p] for p in family.balls[i].members]
+
+        # the centered ball with the same trace is written as a unit-weight combination
         out["certificates"] = [
             {
                 "point": space.labels[cert.point],
-                "ball": [space.labels[p] for p in family.balls[cert.ball_index].members],
-                "coefficients": [
-                    {
-                        "ball": [space.labels[p] for p in family.balls[idx].members],
-                        "weight": scalar_str(lam),
-                    }
-                    for idx, lam in cert.coefficients
-                ],
+                "ball": members(cert.ball_index),
+                "coefficients": [{"ball": members(cert.centered_index), "weight": "1/1"}],
             }
             for cert in verdict.certificates
         ]
@@ -316,25 +313,6 @@ def grid_demo_to_json(report: GridDemoReport) -> dict:
         "chain_nested": report.chain_nested,
         "chain_infimum_inequality_holds": report.chain_infimum_inequality_holds,
         "note": report.note,
-    }
-
-
-def bump_report_to_json(report: BumpRefinementReport, space: FiniteMetricSpace) -> dict:
-    return {
-        "x": space.labels[report.x],
-        "y": space.labels[report.y],
-        "bound": scalar_str(report.bound),
-        "point_mass_threshold": scalar_str(report.point_mass_threshold),
-        "all_bounds_hold": report.all_bounds_hold,
-        "checks": [
-            {
-                "delta": scalar_str(c.delta),
-                "centered_value_at_y": scalar_str(c.centered_value_at_y),
-                "bound_holds": c.bound_holds,
-                "is_point_mass": c.is_point_mass,
-            }
-            for c in report.checks
-        ],
     }
 
 

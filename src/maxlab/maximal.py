@@ -98,31 +98,26 @@ class _BallMeasures:
         if self.weights[x] == 0:
             raise ValueError(f"point {x} is outside the support of the measure")
 
-    def _sums(self, point_values: Sequence[int], indices: Iterable[int]) -> dict[int, int]:
-        """Integer ball sums of point_values, 0 on balls of measure zero."""
+    def _sums(
+        self, g: SampleFunction | DiscreteMeasure, indices: Iterable[int]
+    ) -> tuple[dict[int, int], Fraction]:
+        """Integer ball sums for g, and the factor taking S/M to the true value.
+
+        For a function g the value is its ball average, for a measure g the
+        ratio g(B)/mu(B). Balls of measure zero sum to 0.
+        """
+        n = len(self.weights)
+        if g.n != n:
+            raise ValueError(f"dimension mismatch: {g.n} points against a measure on {n}")
+        if isinstance(g, SampleFunction):
+            values, k = _scaled(g.values)
+            point_values, factor = [v * w for v, w in zip(values, self.weights)], Fraction(1, k)
+        else:
+            point_values, k = _scaled(g.weights)
+            factor = Fraction(self.scale, k)
         value = point_values.__getitem__
         balls, masses = self.family.balls, self.masses
-        return {i: sum(map(value, balls[i].members)) if masses[i] else 0 for i in indices}
-
-    def _average_sums(
-        self, f: SampleFunction, indices: Iterable[int]
-    ) -> tuple[dict[int, int], Fraction]:
-        """Ball sums of f*mu, and the factor taking S/M to the true average."""
-        if f.n != len(self.weights):
-            raise ValueError(
-                f"dimension mismatch: function on {f.n} points, measure on {len(self.weights)}"
-            )
-        values, k = _scaled(f.values)
-        return self._sums([v * w for v, w in zip(values, self.weights)], indices), Fraction(1, k)
-
-    def _ratio_sums(
-        self, nu: DiscreteMeasure, indices: Iterable[int]
-    ) -> tuple[dict[int, int], Fraction]:
-        """Ball sums of nu, and the factor taking S/M to the true ratio nu(B)/mu(B)."""
-        if nu.n != len(self.weights):
-            raise ValueError("dimension mismatch between the two measures")
-        weights, k = _scaled(nu.weights)
-        return self._sums(weights, indices), Fraction(self.scale, k)
+        return {i: sum(map(value, balls[i].members)) if masses[i] else 0 for i in indices}, factor
 
     def _best(self, sums: dict[int, int], indices: Sequence[int]) -> int:
         """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball."""
@@ -143,23 +138,20 @@ class _BallMeasures:
         value = Fraction(sums[i] * factor.numerator, (self.masses[i] or 1) * factor.denominator)
         return MaximalValue(value=value, ball=self.family.balls[i])
 
-    def max_average(
-        self, f: SampleFunction, x: int, candidates: Sequence[Sequence[int]]
-    ) -> MaximalValue:
-        """Max ball average of f over candidates[x] (the family's centered_at or containing)."""
-        self._require_support(x)
-        indices = candidates[x]
-        sums, factor = self._average_sums(f, indices)
-        return self._value(sums, factor, self._best(sums, indices))
+    def at(
+        self, g: SampleFunction | DiscreteMeasure, x: int
+    ) -> tuple[MaximalValue, MaximalValue]:
+        """Centered and non-centered maxima at the support point x.
 
-    def max_ratio(
-        self, nu: DiscreteMeasure, x: int, candidates: Sequence[Sequence[int]]
-    ) -> MaximalValue:
-        """Max of nu(B)/mu(B) over candidates[x] (the family's centered_at or containing)."""
+        g is a function (ball averages) or a measure (ratios g(B)/mu(B)). The
+        balls centered at x all contain x, so one pass of sums over the balls
+        containing x serves both argmaxes.
+        """
         self._require_support(x)
-        indices = candidates[x]
-        sums, factor = self._ratio_sums(nu, indices)
-        return self._value(sums, factor, self._best(sums, indices))
+        family = self.family
+        sums, factor = self._sums(g, family.containing[x])
+        centered = self._value(sums, factor, self._best(sums, family.centered_at[x]))
+        return centered, self._value(sums, factor, self._best(sums, family.containing[x]))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
         family = self.family
@@ -191,7 +183,7 @@ class _BallMeasures:
 
     def field(self, f: SampleFunction) -> MaximalReport:
         family = self.family
-        sums, factor = self._average_sums(f, range(len(family.balls)))
+        sums, factor = self._sums(f, range(len(family.balls)))
         return MaximalReport(
             points=tuple(
                 PointMaximal(
@@ -212,7 +204,7 @@ class _BallMeasures:
         returned, with its centered and non-centered maxima.
         """
         family, masses = self.family, self.masses
-        sums, factor = self._average_sums(f, range(len(family.balls)))
+        sums, factor = self._sums(f, range(len(family.balls)))
         for x, w in enumerate(self.weights):
             if not w:
                 continue
@@ -227,28 +219,28 @@ def centered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over balls centered at the support point x."""
-    return _BallMeasures(family, mu).max_average(f, x, family.centered_at)
+    return _BallMeasures(family, mu).at(f, x)[0]
 
 
 def noncentered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over every ball containing the support point x."""
-    return _BallMeasures(family, mu).max_average(f, x, family.containing)
+    return _BallMeasures(family, mu).at(f, x)[1]
 
 
 def centered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over balls centered at x (ratio 0 where mu(B) = 0)."""
-    return _BallMeasures(family, mu).max_ratio(nu, x, family.centered_at)
+    return _BallMeasures(family, mu).at(nu, x)[0]
 
 
 def noncentered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over every ball containing x (ratio 0 where mu(B) = 0)."""
-    return _BallMeasures(family, mu).max_ratio(nu, x, family.containing)
+    return _BallMeasures(family, mu).at(nu, x)[1]
 
 
 def inf_ball_measure_pair(

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
-from .maximal import MaximalValue, _BallMeasures, centered_maximal, noncentered_maximal
+from .maximal import MaximalValue, _BallMeasures
 from .measure import (
     DiscreteMeasure,
     SampleFunction,
@@ -97,11 +97,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class HullCertificate:
-    """Convex coefficients writing one containing-ball functional over centered ones."""
+    """A ball centered at `point` with the same trace on the support as a containing ball.
+
+    Two balls with the same trace average every function alike, so the
+    containing ball's average is one of the centered values at `point`.
+    """
 
     point: int
-    ball_index: int
-    coefficients: tuple[tuple[int, Fraction], ...]  # (centered ball family index, weight)
+    ball_index: int  # family index of a ball containing point
+    centered_index: int  # family index of a ball centered at point, same trace
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,9 @@ class CoincidenceVerdict:
 
     `distinct` always carries a Witness, and when decided exactly also the
     separating triple (x, p, q, c) behind it: see `coincidence_exact`.
-    `equal` carries hull certificates when decided exactly; the randomized
-    method's `equal` is inconclusive and carries none.
+    `equal` carries trace-match certificates when decided exactly, one per
+    (support point, containing ball); the randomized method's `equal` is
+    inconclusive and carries none.
     """
 
     verdict: str  # "equal" | "distinct"
@@ -159,10 +164,8 @@ def construct_witness(
     f = normalized_indicator(space, (y,), nu)
     if family is None:
         family = enumerate_balls(space)
-    ball_measures = _BallMeasures(family, nu)
-    cv = ball_measures.max_average(f, x, family.centered_at).value
-    nv = ball_measures.max_average(f, x, family.containing).value
-    return Witness(measure=nu, function=f, point=x, centered_value=cv, noncentered_value=nv)
+    cv, nv = _BallMeasures(family, nu).at(f, x)
+    return Witness(nu, f, x, centered_value=cv.value, noncentered_value=nv.value)
 
 
 def coincidence_randomized(
@@ -171,16 +174,15 @@ def coincidence_randomized(
     trials: int,
     seed: int,
     family: BallFamily | None = None,
-    value_range: tuple[int, int] = (-9, 9),
 ) -> CoincidenceVerdict:
     """Search for a function separating the two maximal fields.
 
     Phase 1 tries the unit-mass indicator of each support point p in turn
     (the functions behind the explicit witness construction); phase 2 tries
-    `trials` random integer-valued functions from the seeded generator. An
-    `equal` answer is inconclusive; a `distinct` answer carries the first
-    witness found: the first p, then the first support point x at which the
-    non-centered value exceeds the centered one.
+    `trials` random functions with integer values in [-9, 9] from the seeded
+    generator. An `equal` answer is inconclusive; a `distinct` answer carries
+    the first witness found: the first p, then the first support point x at
+    which the non-centered value exceeds the centered one.
 
     Phase 1 reads its values off integer ball masses. A ball averages the
     indicator of p to 1/mu(B) if it holds p and to 0 otherwise, so at x the
@@ -210,34 +212,18 @@ def coincidence_randomized(
         for x in support:
             if pair_masses[x] < masses[family.centered_at[x][family.rank[x][p]]]:
                 f = normalized_indicator(space, (p,), mu)
-                cv = ball_measures.max_average(f, x, family.centered_at).value
-                nv = ball_measures.max_average(f, x, family.containing).value
-                witness = Witness(mu, f, x, centered_value=cv, noncentered_value=nv)
+                cv, nv = ball_measures.at(f, x)
+                witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
                 return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
     rng = random.Random(seed)
-    lo, hi = value_range
-    if lo > hi:
-        raise ValueError("empty value range")
     for t in range(trials):
-        f = SampleFunction(tuple(Fraction(rng.randint(lo, hi)) for _ in range(space.n)))
+        f = SampleFunction(tuple(Fraction(rng.randint(-9, 9)) for _ in range(space.n)))
         gap = ball_measures.first_gap(f)
         if gap is not None:
             x, cv, nv = gap
             witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
             return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=t + 1)
     return CoincidenceVerdict("equal", "randomized", trials=trials)
-
-
-def _functional(
-    ball: Ball, mu: DiscreteMeasure, ball_measure: Fraction
-) -> tuple[Fraction, ...]:
-    """Coordinates of f -> average of f over the ball, as a vector against f."""
-    vec = [_ZERO] * mu.n
-    for p in ball.members:
-        w = mu.weights[p]
-        if w:
-            vec[p] = w / ball_measure
-    return tuple(vec)
 
 
 def coincidence_exact(
@@ -255,10 +241,10 @@ def coincidence_exact(
     rank <= R, and the centered ball of rank R is then the smallest match.
 
     `equal` carries one certificate per (support point, containing ball),
-    naming with weight 1 the ball itself if it is centered at x, else that
-    centered ball. `distinct` stops at the first mismatch B, with p a
-    farthest point of B ∩ S and q the first point of S outside B of rank
-    <= R, so d(x,q) <= d(x,p) while B, around c, holds x and p but not q;
+    naming the ball itself if it is centered at x, else that centered ball.
+    `distinct` stops at the first mismatch B, with p a farthest point of
+    B ∩ S and q the first point of S outside B of rank <= R, so
+    d(x,q) <= d(x,p) while B, around c, holds x and p but not q;
     it carries (x, p, q, c). Its witness f is 1 on B ∩ S, 2 on the points
     of B ∩ S of rank R, and -2 mu(B)/mu(q) at q: a centered ball that misses
     rank R averages at most 1, one that reaches it holds q and averages at
@@ -280,13 +266,13 @@ def coincidence_exact(
         count = list(accumulate(per_rank))
         for j in family.containing[x]:
             if j in centered_set:
-                certificates.append(HullCertificate(x, j, ((j, _ONE),)))
+                certificates.append(HullCertificate(x, j, j))
                 continue
             ball = family.balls[j]
             trace = [p for p in ball.members if weights[p]]
             top = max(map(rank.__getitem__, trace))
             if len(trace) == count[top]:
-                certificates.append(HullCertificate(x, j, ((centered[top], _ONE),)))
+                certificates.append(HullCertificate(x, j, centered[top]))
                 continue
             far = next(p for p in trace if rank[p] == top)
             q = next(p for p in support if rank[p] <= top and p not in ball.members)
@@ -296,13 +282,10 @@ def coincidence_exact(
                 values[p] = Fraction(2 if rank[p] == top else 1)
             values[q] = Fraction(-2 * ball_measures.masses[j], ball_measures.scale) / weights[q]
             f = SampleFunction(tuple(values))
-            cv = ball_measures.max_average(f, x, family.centered_at).value
-            nv = ball_measures.max_average(f, x, family.containing).value
-            if not nv > cv:
+            cv, nv = ball_measures.at(f, x)
+            if not nv.value > cv.value:
                 raise RuntimeError("separating function failed direct re-evaluation")
-            witness = Witness(
-                measure=mu, function=f, point=x, centered_value=cv, noncentered_value=nv
-            )
+            witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
             return CoincidenceVerdict(
                 "distinct", "exact", witness=witness, explanation=(x, far, q, ball.center)
             )
@@ -315,9 +298,9 @@ def verify_witness(
     """Re-evaluate both maximal values directly and compare with the stored ones."""
     if family is None:
         family = enumerate_balls(space)
-    cv = centered_maximal(witness.function, witness.measure, family, witness.point).value
-    nv = noncentered_maximal(witness.function, witness.measure, family, witness.point).value
-    return cv == witness.centered_value and nv == witness.noncentered_value and nv > cv
+    cv, nv = _BallMeasures(family, witness.measure).at(witness.function, witness.point)
+    stored = (witness.centered_value, witness.noncentered_value)
+    return (cv.value, nv.value) == stored and nv.value > cv.value
 
 
 def verify_hull_certificates(
@@ -326,40 +309,31 @@ def verify_hull_certificates(
     verdict: CoincidenceVerdict,
     family: BallFamily | None = None,
 ) -> bool:
-    """Check an exact `equal` verdict by plain arithmetic, without the decision.
+    """Check an exact `equal` verdict by plain set comparison, without the decision.
 
     Requires full coverage (one certificate per support point and containing
-    ball) and, for each certificate, nonnegative coefficients over centered
-    balls summing to one whose combination reproduces the target functional.
+    ball) and, for each certificate, a centered ball at its point whose trace
+    on the support equals the containing ball's. Both traces are re-derived
+    from the distance matrix with `closed_ball`.
     """
     if verdict.verdict != "equal" or verdict.certificates is None:
         return False
     if family is None:
         family = enumerate_balls(space)
-    measures = [measure_of(mu, b) for b in family.balls]
+    weights = mu.weights
+
+    def trace(i: int) -> set[int]:
+        ball = family.balls[i]
+        return {p for p in closed_ball(space, ball.center, ball.radius).members if weights[p]}
+
     covered: set[tuple[int, int]] = set()
     for cert in verdict.certificates:
-        x = cert.point
-        if mu.weights[x] == 0:
+        x, j, c = cert.point, cert.ball_index, cert.centered_index
+        if weights[x] == 0 or j not in family.containing[x] or c not in family.centered_at[x]:
             return False
-        if cert.ball_index not in family.containing[x]:
+        if trace(j) != trace(c):
             return False
-        centered_set = set(family.centered_at[x])
-        total = _ZERO
-        combo = [_ZERO] * mu.n
-        for idx, lam in cert.coefficients:
-            if lam < 0 or idx not in centered_set:
-                return False
-            total += lam
-            vec = _functional(family.balls[idx], mu, measures[idx])
-            for p in range(mu.n):
-                if vec[p]:
-                    combo[p] += lam * vec[p]
-        if total != 1:
-            return False
-        if tuple(combo) != _functional(family.balls[cert.ball_index], mu, measures[cert.ball_index]):
-            return False
-        covered.add((x, cert.ball_index))
+        covered.add((x, j))
     expected = {(x, j) for x in mu.support for j in family.containing[x]}
     return covered == expected
 
@@ -516,14 +490,10 @@ def check_lower_semicontinuity(
             f"last element deviates by {deviations[-1]}, above the allowed {bound}"
         )
     ball_measures = _BallMeasures(family, mu)
-    nc_values = tuple(
-        ball_measures.max_ratio(nu, x, family.containing).value for nu in nu_sequence
-    )
-    c_values = tuple(
-        ball_measures.max_ratio(nu, x, family.centered_at).value for nu in nu_sequence
-    )
-    nc_limit = ball_measures.max_ratio(nu_limit, x, family.containing).value
-    c_limit = ball_measures.max_ratio(nu_limit, x, family.centered_at).value
+    values = [ball_measures.at(nu, x) for nu in nu_sequence]
+    c_values = tuple(c.value for c, _ in values)
+    nc_values = tuple(nc.value for _, nc in values)
+    c_limit, nc_limit = (v.value for v in ball_measures.at(nu_limit, x))
 
     min_ball = min(ball_measures.masses[i] for i in family.containing[x])
     constant = Fraction(mu.n * ball_measures.scale, min_ball)
@@ -594,9 +564,7 @@ def build_grid_demo(n: int) -> GridDemoReport:
     mu = DiscreteMeasure(tuple(_ONE for _ in coords))
     f = SampleFunction(tuple(_ONE if c <= 1 else _ZERO for c in coords))
     point = n + 1  # coordinate 1 + 1/n
-    family = enumerate_balls(space)
-    centered = centered_maximal(f, mu, family, point)
-    noncentered = noncentered_maximal(f, mu, family, point)
+    centered, noncentered = _BallMeasures(enumerate_balls(space), mu).at(f, point)
     gap = noncentered.value - centered.value
     closed_form = Fraction(n + 1, n + 2) - Fraction(n + 1, 2 * n + 1)
 
@@ -721,7 +689,7 @@ def check_bump_bound(
     for raw in deltas:
         r = as_rational(raw)
         f = bump_function(space, mu, x, y, r)
-        value = ball_measures.max_average(f, y, family.centered_at).value
+        value = ball_measures.at(f, y)[0].value
         checks.append(
             BumpCheck(
                 delta=r,

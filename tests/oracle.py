@@ -55,19 +55,39 @@ def noncentered_value(space, mu, f, x):
     return best
 
 
-def argmax_ball(space, mu, f, x, centered):
-    """Maximal average at x and the sorted members of the ball attaining it.
+def _candidates(space, x, centered):
+    """Member sets of the closed balls centered at x, or of all balls containing x."""
+    if centered:
+        return {ball_members(space, x, r) for r in set(space.dist[x]) | {ZERO}}
+    return {s for s in all_ball_sets(space) if x in s}
+
+
+def _best(values):
+    """Largest value over {member set: value} and the sorted members attaining it.
 
     Ties go to the smallest member set, then to the lexicographically first.
     """
-    if centered:
-        sets = {ball_members(space, x, r) for r in set(space.dist[x]) | {ZERO}}
-    else:
-        sets = {s for s in all_ball_sets(space) if x in s}
-    averages = {s: average(space, mu, f, s) for s in sets}
-    best = max(averages.values())
-    winners = (tuple(sorted(s)) for s, v in averages.items() if v == best)
+    best = max(values.values())
+    winners = (tuple(sorted(s)) for s, v in values.items() if v == best)
     return best, min(winners, key=lambda m: (len(m), m))
+
+
+def argmax_ball(space, mu, f, x, centered):
+    """Maximal average at x and the sorted members of the ball attaining it."""
+    return _best({s: average(space, mu, f, s) for s in _candidates(space, x, centered)})
+
+
+def ratio_value(space, mu, nu, x, centered):
+    """Largest nu(B) / mu(B) over the balls centered at (or containing) x, with its ball.
+
+    A ball with mu(B) = 0 counts as 0.
+    """
+    return _best(
+        {
+            s: mass(nu, s) / mass(mu, s) if mass(mu, s) else ZERO
+            for s in _candidates(space, x, centered)
+        }
+    )
 
 
 def mass(mu, members):

@@ -53,6 +53,26 @@ def instances(draw):
     return space, DiscreteMeasure(tuple(weights)), SampleFunction(tuple(values))
 
 
+@st.composite
+def measure_pairs(draw):
+    """A space with tied distances and two measures mu, nu, both with zero weights."""
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        space = gen_taxicab(n, dim=draw(st.integers(1, 2)), seed=seed)
+    elif kind == 1:
+        space = gen_graph_metric(n, edge_probability=0.45, seed=seed)
+    else:
+        space = gen_ultrametric(n, seed=seed)
+    weight = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(2), Fraction(5, 7)])
+    mu, nu = (
+        DiscreteMeasure(tuple(draw(st.lists(weight, min_size=n, max_size=n).filter(any))))
+        for _ in range(2)
+    )
+    return space, mu, nu
+
+
 class TestExamples:
     def test_centered_line3(self, line3, uniform3, ind2):
         family = enumerate_balls(line3)
@@ -183,6 +203,24 @@ class TestProperties:
             assert e.noncentered == noncentered_maximal(f, mu, family, e.point)
             for got, centered in ((e.centered, True), (e.noncentered, False)):
                 expected = oracle.argmax_ball(space, mu, f, e.point, centered)
+                assert (got.value, got.ball.members) == expected
+
+    @given(measure_pairs())
+    @example(
+        # the line 0..3 ties d(1,0) = d(1,2); mu and nu both vanish somewhere
+        (line_space([0, 1, 2, 3]), DiscreteMeasure((1, 0, 1, 1)), DiscreteMeasure((0, 2, 0, 1)))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_measure_operators_match_oracle(self, inst):
+        space, mu, nu = inst
+        family = enumerate_balls(space)
+        for x in mu.support:
+            for op, centered in (
+                (centered_maximal_measure, True),
+                (noncentered_maximal_measure, False),
+            ):
+                got = op(nu, mu, family, x)
+                expected = oracle.ratio_value(space, mu, nu, x, centered)
                 assert (got.value, got.ball.members) == expected
 
     @given(instances())

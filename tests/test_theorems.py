@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import oracle
 from corpus import small_catalog, weight_grid
 from maxlab import (
     DiscreteMeasure,
+    HullCertificate,
     SampleFunction,
     build_grid_demo,
     bump_function,
@@ -146,7 +148,8 @@ class TestCoincidenceExact:
     def test_equilateral_equal_with_unit_certificates(self, eq3, uniform3):
         verdict = coincidence_exact(eq3, uniform3)
         assert verdict.verdict == "equal"
-        assert all(len(c.coefficients) == 1 and c.coefficients[0][1] == 1 for c in verdict.certificates)
+        # every ball of an ultrametric space is centered at each of its points
+        assert all(c.centered_index == c.ball_index for c in verdict.certificates)
         assert verify_hull_certificates(eq3, uniform3, verdict)
 
     def test_single_point_equal(self):
@@ -244,8 +247,7 @@ class TestTraceDecision:
             assert verify_hull_certificates(space, mu, verdict, family=family)
             for cert in verdict.certificates:
                 x, j = cert.point, cert.ball_index
-                ((idx, weight),) = cert.coefficients
-                assert weight == 1
+                idx = cert.centered_index
                 if j in family.centered_at[x]:  # a centered ball certifies itself
                     assert idx == j
                     continue
@@ -262,6 +264,62 @@ class TestTraceDecision:
             assert ex == x and {p, q} <= support
             r = max(dist[c][x], dist[c][p])  # the smallest ball around c holding x and p
             assert dist[x][q] <= dist[x][p] and dist[c][q] > r
+
+
+class TestHullCertificateChecker:
+    """verify_hull_certificates must reject every tampered `equal` verdict.
+
+    On the line 0, 1, 2 with weights (1, 1, 0) the operators agree. Family
+    indices: 0 = {0}, 1 = {0,1}, 2 = {0,1,2}, 3 = {1}, 4 = {2}, 5 = {1,2};
+    balls 0, 1, 2 are centered at 0 and balls 3, 2 at 1.
+    """
+
+    @pytest.fixture
+    def case(self, line3):
+        mu = DiscreteMeasure((1, 1, 0))
+        family = enumerate_balls(line3)
+        verdict = coincidence_exact(line3, mu, family=family)
+        assert verdict.verdict == "equal"
+        assert verify_hull_certificates(line3, mu, verdict, family=family)
+        return line3, mu, family, verdict
+
+    @staticmethod
+    def _swap(verdict, old, new):
+        certs = verdict.certificates
+        assert old in certs
+        return replace(verdict, certificates=tuple(new if c == old else c for c in certs))
+
+    def test_rejects_centered_ball_with_another_trace(self, case):
+        space, mu, family, verdict = case
+        # {0} is centered at 0, but its trace {0} is not the trace {0,1} of ball 1
+        bad = self._swap(verdict, HullCertificate(0, 1, 1), HullCertificate(0, 1, 0))
+        assert not verify_hull_certificates(space, mu, bad, family=family)
+
+    def test_rejects_ball_centered_at_another_point(self, case):
+        space, mu, family, verdict = case
+        # {0,1} has the same trace as itself but is centered at 0, not at 1
+        bad = self._swap(verdict, HullCertificate(1, 1, 2), HullCertificate(1, 1, 1))
+        assert not verify_hull_certificates(space, mu, bad, family=family)
+
+    def test_rejects_dropped_certificate(self, case):
+        space, mu, family, verdict = case
+        for k in range(len(verdict.certificates)):
+            certs = verdict.certificates[:k] + verdict.certificates[k + 1 :]
+            bad = replace(verdict, certificates=certs)
+            assert not verify_hull_certificates(space, mu, bad, family=family)
+
+    def test_rejects_certificate_at_zero_weight_point(self, case):
+        space, mu, family, verdict = case
+        # {2} is centered at 2 and matches its own (empty) trace
+        bad = replace(verdict, certificates=verdict.certificates + (HullCertificate(2, 4, 4),))
+        assert not verify_hull_certificates(space, mu, bad, family=family)
+
+    def test_rejects_distinct_verdict(self, case, uniform3):
+        space, mu, family, verdict = case
+        witness = coincidence_exact(space, uniform3).witness
+        bad = replace(verdict, verdict="distinct", witness=witness)
+        assert not verify_hull_certificates(space, mu, bad, family=family)
+        assert not verify_hull_certificates(space, uniform3, coincidence_exact(space, uniform3))
 
 
 class TestBallInfimumDifferential:
