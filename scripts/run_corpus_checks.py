@@ -81,7 +81,7 @@ def main() -> int:
             continue
         family = enumerate_balls(space)
         witness = construct_witness(space, triple, family=family)
-        assert verify_witness(space, witness, family=family)
+        assert verify_witness(space, witness)
         witnesses += 1
         mu = gen_measure(space, seed=base + 200 + k, zero_fraction=0.0)
         for x in mu.support:

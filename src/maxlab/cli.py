@@ -137,7 +137,7 @@ def _cmd_witness(args, seed: int) -> dict:
         "ultrametric": False,
         "violating_triple": [space.labels[p] for p in triple],
         "witness": mio.witness_to_json(witness, space),
-        "reverified": verify_witness(space, witness, family=family),
+        "reverified": verify_witness(space, witness),
     }
 
 
@@ -153,16 +153,19 @@ def _cmd_lsc(args, seed: int) -> dict:
     mu = mio.load_measure(args.measure, space.n)
     with open(args.sequence, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_float=Fraction)
+    rows, limit = (data.get("sequence"), data.get("limit")) if isinstance(data, dict) else (None, None)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise mio.InputFormatError(f"{args.sequence}: 'sequence' must be a list of lists")
+    if not isinstance(limit, list):
+        raise mio.InputFormatError(f"{args.sequence}: 'limit' must be a list")
     try:
-        sequence = [
-            DiscreteMeasure(tuple(mio.parse_scalar(v) for v in row)) for row in data["sequence"]
-        ]
-        limit = DiscreteMeasure(tuple(mio.parse_scalar(v) for v in data["limit"]))
+        sequence = [DiscreteMeasure(tuple(mio.parse_scalar(v) for v in row)) for row in rows]
+        nu_limit = DiscreteMeasure(tuple(mio.parse_scalar(v) for v in limit))
         point = _point_index(space, str(data["point"]))
         bound = mio.parse_scalar(data["deviation_bound"])
-    except (KeyError, TypeError) as exc:
-        raise mio.InputFormatError(f"{args.sequence}: bad sequence file: {exc}") from None
-    report = check_lower_semicontinuity(mu, space, sequence, limit, point, bound)
+    except KeyError as exc:
+        raise mio.InputFormatError(f"{args.sequence}: bad sequence file: missing {exc}") from None
+    report = check_lower_semicontinuity(mu, space, sequence, nu_limit, point, bound)
     result = mio.lsc_report_to_json(report, space)
     if not (report.tail_inequality_holds and report.per_step_bounds_hold):
         raise MathFailure("finite-space semicontinuity bound failed", result)

@@ -11,12 +11,26 @@ the lcm of their denominators, and a function's values (or a numerator
 measure's weights) by the lcm of theirs. Ball sums are then Python ints, two
 averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 `Fraction` is built only for the value returned. No float ever enters.
+
+Nothing is summed ball by ball. A ball represented by (c, r) holds exactly
+the first |B| points of `order[c]`, so its mass and each of its sums are one
+prefix sum along that row, read at |B| - 1. A field then reads suffix
+winners: winner [c][j] is the best ball of `centered_at[c][j:]`. The
+centered argmax at x is the winner [x][0]. The balls containing x are
+`centered_at[c][rank[c][x]:]` over every center c, so the non-centered
+argmax is the best of the n winners [c][rank[c][x]], or of `containing[x]`
+where that list is shorter. A one-point query builds no tables and scans
+`centered_at[x]` and `containing[x]`. Along one center the balls grow
+strictly, so a tie there goes to the earlier ball; elsewhere (size, members)
+are compared only when two cross-products are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Sequence
 
 from .measure import DiscreteMeasure, SampleFunction
@@ -76,6 +90,13 @@ class _BallMeasures:
     every query on that pair. A candidate ball's average (or measure ratio)
     is S/M, with M its scaled measure and S an integer ball sum of the
     query's scaled values; balls of measure zero read as 0.
+
+    Masses and sums are prefix sums. The ball at index i, represented by
+    (c, r), holds exactly the first |B| points of `family.order[c]`, so its
+    mass (or sum) is the prefix sum of that row read at |B| - 1. Each row
+    is accumulated only up to the largest ball its center represents, and
+    the rows lie end to end in one list, so `_slots[i]` is ball i's place
+    in it.
     """
 
     def __init__(self, family: BallFamily, mu: DiscreteMeasure):
@@ -83,14 +104,31 @@ class _BallMeasures:
             raise ValueError(f"dimension mismatch: family on {family.n} points, measure on {mu.n}")
         self.family = family
         self.weights, self.scale = _scaled(mu.weights)
-        weight = self.weights.__getitem__
         balls = family.balls
-        self.masses = tuple(sum(map(weight, ball.members)) for ball in balls)
-        # tie_rank[i] < tie_rank[j] iff ball i is smaller (size, then members) than ball j
-        keys = [(len(ball.members), ball.members) for ball in balls]
-        self.tie_rank = [0] * len(balls)
-        for rank, i in enumerate(sorted(range(len(balls)), key=keys.__getitem__)):
-            self.tie_rank[i] = rank
+        centers = [ball.center for ball in balls]
+        sizes = [len(ball.members) for ball in balls]
+        # balls are listed by center, radii ascending: the last size per center is its largest
+        reach = dict(zip(centers, sizes))
+        # offset[c] + |B| is where a ball of size |B| around c reads: its row's start + |B| - 1
+        offset: dict[int, int] = {}
+        self._rows: list[tuple[int, ...]] = []
+        start = 0
+        for c, size in reach.items():
+            offset[c] = start - 1
+            self._rows.append(family.order[c][:size])
+            start += size
+        self._slots = list(map(add, map(offset.__getitem__, centers), sizes))
+        self.masses = self._ball_sums(self.weights)
+        self._denominators = [m or 1 for m in self.masses]
+        self._rank_of: list[tuple[int, ...]] | None = None
+
+    def _ball_sums(self, point_values: Sequence[int]) -> list[int]:
+        """Every ball's sum of point_values, by one prefix-sum read per ball."""
+        value = point_values.__getitem__
+        prefix: list[int] = []
+        for row in self._rows:
+            prefix += accumulate(map(value, row))
+        return list(map(prefix.__getitem__, self._slots))
 
     def _require_support(self, x: int) -> None:
         if not 0 <= x < len(self.weights):
@@ -98,9 +136,7 @@ class _BallMeasures:
         if self.weights[x] == 0:
             raise ValueError(f"point {x} is outside the support of the measure")
 
-    def _sums(
-        self, g: SampleFunction | DiscreteMeasure, indices: Iterable[int]
-    ) -> tuple[dict[int, int], Fraction]:
+    def _sums(self, g: SampleFunction | DiscreteMeasure) -> tuple[list[int], Fraction]:
         """Integer ball sums for g, and the factor taking S/M to the true value.
 
         For a function g the value is its ball average, for a measure g the
@@ -111,31 +147,71 @@ class _BallMeasures:
             raise ValueError(f"dimension mismatch: {g.n} points against a measure on {n}")
         if isinstance(g, SampleFunction):
             values, k = _scaled(g.values)
-            point_values, factor = [v * w for v, w in zip(values, self.weights)], Fraction(1, k)
-        else:
-            point_values, k = _scaled(g.weights)
-            factor = Fraction(self.scale, k)
-        value = point_values.__getitem__
-        balls, masses = self.family.balls, self.masses
-        return {i: sum(map(value, balls[i].members)) if masses[i] else 0 for i in indices}, factor
+            # a ball of measure zero sums to 0 here already
+            return self._ball_sums([v * w for v, w in zip(values, self.weights)]), Fraction(1, k)
+        point_values, k = _scaled(g.weights)
+        sums = self._ball_sums(point_values)
+        if 0 in self.masses:
+            sums = [s if m else 0 for s, m in zip(sums, self.masses)]
+        return sums, Fraction(self.scale, k)
 
-    def _best(self, sums: dict[int, int], indices: Sequence[int]) -> int:
-        """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball."""
-        if not indices:
-            raise ValueError("no candidate balls")
-        masses, tie_rank = self.masses, self.tie_rank
-        best = indices[0]
-        best_s, best_m = sums[best], masses[best] or 1
-        for i in indices:
-            s, m = sums[i], masses[i] or 1
+    def _winners(self, sums: list[int]) -> list[list[int]]:
+        """Suffix winners: entry [c][j] is the argmax over `centered_at[c][j:]`.
+
+        Along one center the balls grow strictly, so a tie goes to the
+        earlier, smaller ball.
+        """
+        denominators = self._denominators
+        table = []
+        for row in self.family.centered_at:
+            best = row[-1]
+            best_s, best_m = sums[best], denominators[best]
+            winners = []
+            for i in reversed(row):
+                s, m = sums[i], denominators[i]
+                if s * best_m >= best_s * m:
+                    best, best_s, best_m = i, s, m
+                winners.append(best)
+            winners.reverse()
+            table.append(winners)
+        return table
+
+    def _best(self, sums: list[int], candidates: Iterable[int]) -> int:
+        """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball.
+
+        A tie compares (size, members) of the two balls, and only a tie does.
+        """
+        balls, denominators = self.family.balls, self._denominators
+        candidates = iter(candidates)
+        best = next(candidates)
+        best_s, best_m = sums[best], denominators[best]
+        for i in candidates:
+            s, m = sums[i], denominators[i]
             lhs, rhs = s * best_m, best_s * m
-            if lhs > rhs or (lhs == rhs and tie_rank[i] < tie_rank[best]):
+            if lhs > rhs or (
+                lhs == rhs
+                and (len(balls[i].members), balls[i].members)
+                < (len(balls[best].members), balls[best].members)
+            ):
                 best, best_s, best_m = i, s, m
         return best
 
-    def _value(self, sums: dict[int, int], factor: Fraction, i: int) -> MaximalValue:
+    def _noncentered(self, sums: list[int], winners: list[list[int]], x: int) -> int:
+        """Argmax over the balls containing x: of containing[x] or of the n winners, if fewer.
+
+        The balls containing x are `centered_at[c][rank[c][x]:]` over every
+        center c, so the best of them is the best of `winners[c][rank[c][x]]`.
+        """
+        family = self.family
+        if len(family.containing[x]) <= family.n:
+            return self._best(sums, family.containing[x])
+        if self._rank_of is None:
+            self._rank_of = list(zip(*family.rank))  # _rank_of[x][c] == rank[c][x]
+        return self._best(sums, map(list.__getitem__, winners, self._rank_of[x]))
+
+    def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
-        value = Fraction(sums[i] * factor.numerator, (self.masses[i] or 1) * factor.denominator)
+        value = Fraction(sums[i] * factor.numerator, self._denominators[i] * factor.denominator)
         return MaximalValue(value=value, ball=self.family.balls[i])
 
     def at(
@@ -143,32 +219,32 @@ class _BallMeasures:
     ) -> tuple[MaximalValue, MaximalValue]:
         """Centered and non-centered maxima at the support point x.
 
-        g is a function (ball averages) or a measure (ratios g(B)/mu(B)). The
-        balls centered at x all contain x, so one pass of sums over the balls
-        containing x serves both argmaxes.
+        g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
+        One point does not pay for the winner tables, which cost a pass over
+        every center's balls: it scans its own two lists instead.
         """
         self._require_support(x)
         family = self.family
-        sums, factor = self._sums(g, family.containing[x])
+        sums, factor = self._sums(g)
         centered = self._value(sums, factor, self._best(sums, family.centered_at[x]))
         return centered, self._value(sums, factor, self._best(sums, family.containing[x]))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
+        """The smallest measure of a ball holding x and y, ties to the smallest ball.
+
+        Around each center c the smallest ball holding both is the one of rank
+        max(rank[c][x], rank[c][y]); any larger ball around c is no lighter
+        and strictly bigger, so only these n candidates can win.
+        """
         family = self.family
         if not (0 <= x < family.n and 0 <= y < family.n):
             raise ValueError("point index out of range")
-        masses, tie_rank = self.masses, self.tie_rank
-        in_y = set(family.containing[y])
-        best = None
-        for i in family.containing[x]:
-            if i not in in_y:
-                continue
-            m = masses[i]
-            if best is None or m < best_m or (m == best_m and tie_rank[i] < tie_rank[best]):
-                best, best_m = i, m
-        if best is None:
-            raise AssertionError("ball family is missing a whole-space ball")
-        return Fraction(best_m, self.scale), family.balls[best]
+        balls, masses, rank = family.balls, self.masses, family.rank
+        best = min(
+            (row[max(r[x], r[y])] for row, r in zip(family.centered_at, rank)),
+            key=lambda i: (masses[i], len(balls[i].members), balls[i].members),
+        )
+        return Fraction(masses[best], self.scale), balls[best]
 
     def pair_masses(self, p: int) -> list[int]:
         """For every point x, the smallest scaled measure of a ball holding both p and x."""
@@ -182,14 +258,14 @@ class _BallMeasures:
         return row
 
     def field(self, f: SampleFunction) -> MaximalReport:
-        family = self.family
-        sums, factor = self._sums(f, range(len(family.balls)))
+        sums, factor = self._sums(f)
+        winners = self._winners(sums)
         return MaximalReport(
             points=tuple(
                 PointMaximal(
                     point=x,
-                    centered=self._value(sums, factor, self._best(sums, family.centered_at[x])),
-                    noncentered=self._value(sums, factor, self._best(sums, family.containing[x])),
+                    centered=self._value(sums, factor, winners[x][0]),
+                    noncentered=self._value(sums, factor, self._noncentered(sums, winners, x)),
                 )
                 for x, w in enumerate(self.weights)
                 if w
@@ -203,14 +279,15 @@ class _BallMeasures:
         point, as `field` would, and builds the values only for the point
         returned, with its centered and non-centered maxima.
         """
-        family, masses = self.family, self.masses
-        sums, factor = self._sums(f, range(len(family.balls)))
+        denominators = self._denominators
+        sums, factor = self._sums(f)
+        winners = self._winners(sums)
         for x, w in enumerate(self.weights):
             if not w:
                 continue
-            c = self._best(sums, family.centered_at[x])
-            nc = self._best(sums, family.containing[x])
-            if sums[nc] * (masses[c] or 1) > sums[c] * (masses[nc] or 1):
+            c = winners[x][0]
+            nc = self._noncentered(sums, winners, x)
+            if sums[nc] * denominators[c] > sums[c] * denominators[nc]:
                 return x, self._value(sums, factor, c), self._value(sums, factor, nc)
         return None
 

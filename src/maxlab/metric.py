@@ -117,18 +117,22 @@ class Ball:
 class BallFamily:
     """All distinct closed-ball member sets of a space, with per-point indices.
 
-    `balls[i]` is a representative (center, radius) realizing member set i;
-    `containing[x]` lists family indices of sets containing x; `centered_at[x]`
-    lists family indices arising from balls centered at x, radii ascending.
-    Both sublists are deduplicated; `centered_at[x]` is always a subset of
-    `containing[x]`. `rank[c][p]` is the position in `centered_at[c]` of the
-    smallest ball centered at c that holds p.
+    `balls[i]` is a representative (center, radius) realizing member set i,
+    listed by center, then radius, ascending; `containing[x]` lists family
+    indices of sets containing x; `centered_at[x]` lists family indices
+    arising from balls centered at x, radii ascending. Both sublists are
+    deduplicated; `centered_at[x]` is always a subset of `containing[x]`.
+    `rank[c][p]` is the position in `centered_at[c]` of the smallest ball
+    centered at c that holds p. `order[c]` lists every point by distance
+    from c, ties in ascending index order, so a ball centered at c holds
+    exactly the first len(members) points of `order[c]`.
     """
 
     balls: tuple[Ball, ...]
     containing: tuple[tuple[int, ...], ...]
     centered_at: tuple[tuple[int, ...], ...]
     rank: tuple[tuple[int, ...], ...]
+    order: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -311,11 +315,13 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     index_by_members: dict[tuple[int, ...], int] = {}
     centered_at: list[list[int]] = [[] for _ in range(n)]
     rank: list[tuple[int, ...]] = []
+    orders: list[tuple[int, ...]] = []
     flat, _ = _scaled([v for row in dist for v in row])
     for c in range(n):
         row = flat[c * n : (c + 1) * n]
         # sorted() is stable, so equal distances keep ascending point order
-        order = sorted(range(n), key=row.__getitem__)
+        order = tuple(sorted(range(n), key=row.__getitem__))
+        orders.append(order)
         position: dict[int, int] = {}  # distance -> index in centered_at[c]
         k = 0
         while k < n:
@@ -342,29 +348,34 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         containing=tuple(tuple(s) for s in containing),
         centered_at=tuple(tuple(s) for s in centered_at),
         rank=tuple(rank),
+        order=tuple(orders),
     )
 
 
 def find_midpoint_configs(space: FiniteMetricSpace) -> list[MidpointConfig]:
-    """All (a, m, b) with a < b and d(a,m) = d(m,b) = d(a,b)/2."""
+    """All (a, m, b) with a < b and d(a,m) = d(m,b) = d(a,b)/2.
+
+    Works on the integer copy D of the distance matrix: m is a midpoint of
+    (a, b) iff 2 D[a][m] = 2 D[b][m] = D[a][b].
+    """
     n = space.n
-    dist = space.dist
-    at_distance: list[dict[Fraction, list[int]]] = []
-    for i in range(n):
-        buckets: dict[Fraction, list[int]] = {}
-        row = dist[i]
-        for j in range(n):
+    flat, _ = _scaled([v for row in space.dist for v in row])
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    # at_half[i][t]: the points j != i with 2 D[i][j] = t, ascending
+    at_half: list[dict[int, list[int]]] = []
+    for i, row in enumerate(rows):
+        buckets: dict[int, list[int]] = {}
+        for j, dij in enumerate(row):
             if j != i:
-                buckets.setdefault(row[j], []).append(j)
-        at_distance.append(buckets)
+                buckets.setdefault(2 * dij, []).append(j)
+        at_half.append(buckets)
     configs: list[MidpointConfig] = []
-    for a in range(n):
+    for a, row in enumerate(rows):
         for b in range(a + 1, n):
-            half = dist[a][b] / 2
-            near_a = at_distance[a].get(half)
+            near_a = at_half[a].get(row[b])
             if not near_a:
                 continue
-            near_b = set(at_distance[b].get(half, ()))
+            near_b = set(at_half[b].get(row[b], ()))
             for m in near_a:
                 if m in near_b:
                     configs.append(MidpointConfig(a=a, m=m, b=b))

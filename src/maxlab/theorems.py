@@ -24,6 +24,7 @@ from .maximal import MaximalValue, _BallMeasures
 from .measure import (
     DiscreteMeasure,
     SampleFunction,
+    ball_average,
     measure_of,
     normalized_indicator,
 )
@@ -292,15 +293,28 @@ def coincidence_exact(
     return CoincidenceVerdict("equal", "exact", certificates=tuple(certificates))
 
 
-def verify_witness(
-    space: FiniteMetricSpace, witness: Witness, family: BallFamily | None = None
-) -> bool:
-    """Re-evaluate both maximal values directly and compare with the stored ones."""
-    if family is None:
-        family = enumerate_balls(space)
-    cv, nv = _BallMeasures(family, witness.measure).at(witness.function, witness.point)
+def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:
+    """Re-evaluate both maximal values from the distance matrix and compare with the stored ones.
+
+    Shares nothing with the ball family or the maximal operators' kernel:
+    every closed ball around each center that holds the witness point, one
+    per distinct radius of the center's row, is re-derived with
+    `closed_ball` and averaged with `ball_average`. A witness at a point
+    outside the support never verifies.
+    """
+    mu, f, x = witness.measure, witness.function, witness.point
+    if not 0 <= x < space.n or mu.n != space.n or mu.weights[x] == 0:
+        return False
+
+    def best(center: int) -> Fraction:
+        row = space.dist[center]
+        radii = (r for r in set(row) if r >= row[x])
+        return max(ball_average(f, mu, closed_ball(space, center, r)) for r in radii)
+
+    centered = best(x)
+    noncentered = max(map(best, range(space.n)))
     stored = (witness.centered_value, witness.noncentered_value)
-    return (cv.value, nv.value) == stored and nv.value > cv.value
+    return (centered, noncentered) == stored and noncentered > centered
 
 
 def verify_hull_certificates(

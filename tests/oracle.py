@@ -77,6 +77,23 @@ def argmax_ball(space, mu, f, x, centered):
     return _best({s: average(space, mu, f, s) for s in _candidates(space, x, centered)})
 
 
+def argmax_table(space, mu, f):
+    """{(x, centered): argmax_ball(space, mu, f, x, centered)} at every support point.
+
+    Each ball set's average is computed once and shared by every point, so
+    spaces of a few dozen points stay cheap.
+    """
+    values = {s: average(space, mu, f, s) for s in all_ball_sets(space)}
+    table = {}
+    for x in range(space.n):
+        if mu.weights[x] == 0:
+            continue
+        centered = {ball_members(space, x, r) for r in set(space.dist[x]) | {ZERO}}
+        table[x, True] = _best({s: values[s] for s in centered})
+        table[x, False] = _best({s: v for s, v in values.items() if x in s})
+    return table
+
+
 def ratio_value(space, mu, nu, x, centered):
     """Largest nu(B) / mu(B) over the balls centered at (or containing) x, with its ball.
 

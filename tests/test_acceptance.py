@@ -141,13 +141,13 @@ def test_criterion_5_decision_soundness_small_spaces():
             randomized = coincidence_randomized(space, mu, trials=1000, seed=500 + combos, family=family)
             if randomized.verdict == "distinct":
                 assert exact.verdict == "distinct"
-                assert verify_witness(space, randomized.witness, family=family)
+                assert verify_witness(space, randomized.witness)
             if exact.verdict == "equal":
                 equal_count += 1
                 assert randomized.verdict == "equal"
                 assert verify_hull_certificates(space, mu, exact, family=family)
             else:
-                assert verify_witness(space, exact.witness, family=family)
+                assert verify_witness(space, exact.witness)
             combos += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < budget

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +357,196 @@ class TestSubcommands:
         code = main(["validate", "--space", str(files / "line3.json"), "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["result"]["valid"] is True
+
+
+# Well-formed documents on a 3-point space labeled a, b, c; the fuzz below
+# breaks exactly one of them at a time.
+GOOD_DOCUMENTS = {
+    "space": {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    "measure": {"weights": [1, 1, 1]},
+    "fn": {"f": [0, 0, 1]},
+    "sequence": {
+        "sequence": [[2, 1, 1], [1, 1, 1]],
+        "limit": [1, 1, 1],
+        "point": "b",
+        "deviation_bound": 0,
+    },
+}
+
+# Every subcommand that reads documents, with the roles it reads.
+DOCUMENT_ROLES = {
+    "validate": ("space",),
+    "balls": ("space",),
+    "maximal": ("space", "measure", "fn"),
+    "coincide": ("space", "measure"),
+    "witness": ("space",),
+    "lemma22": ("space", "measure"),
+    "lsc": ("space", "measure", "sequence"),
+}
+
+
+def _parses(text):
+    try:
+        Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+NOT_A_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=6).filter(lambda t: not _parses(t)),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+NOT_A_LIST = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=6),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+# iterables, not lists, whose items would parse as the three scalars of a row
+SCALAR_ITERABLES = st.sampled_from(["111", {"1": 0, "2": 0, "3": 0}])
+NOT_AN_OBJECT = st.one_of(
+    st.none(), st.integers(-3, 3), st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3)
+)
+
+
+def _vector_breaks(vector):
+    """A list of scalars made malformed: one entry junk, or the wrong length."""
+    n = len(vector)
+    return st.one_of(
+        st.tuples(st.integers(0, n - 1), NOT_A_SCALAR).map(
+            lambda pair: [pair[1] if i == pair[0] else v for i, v in enumerate(vector)]
+        ),
+        st.sampled_from([vector[:-1], vector + [1]]),
+    )
+
+
+# What each field of a document holds; every field but "labels" is required.
+FIELDS = {
+    "space": {"dist": "matrix", "labels": "labels"},
+    "measure": {"weights": "weights"},
+    "fn": {"f": "vector"},
+    "sequence": {"sequence": "matrix", "limit": "vector", "point": "point", "deviation_bound": "scalar"},
+}
+
+
+def _broken_field(kind, value):
+    """A strategy for a value of the field that no loader may accept."""
+    if kind == "matrix":
+        row = st.integers(0, len(value) - 1)
+        broken_row = st.tuples(
+            row, st.one_of(NOT_A_LIST, SCALAR_ITERABLES, _vector_breaks(value[0]))
+        )
+        return st.one_of(
+            NOT_A_LIST,
+            broken_row.map(lambda p: [p[1] if i == p[0] else r for i, r in enumerate(value)]),
+        )
+    if kind in ("vector", "weights"):
+        broken = st.one_of(NOT_A_LIST, SCALAR_ITERABLES, _vector_breaks(value))
+        if kind == "weights":
+            # a measure needs nonnegative weights and a nonempty support
+            return st.one_of(broken, st.sampled_from([[0, 0, 0], [1, -1, 1], [-1, -1, -1]]))
+        return broken
+    if kind == "labels":
+        return st.one_of(
+            st.sampled_from([["a", "a", "b"], ["a", "b"], ["a", "b", "c", "d"], [1, 2, 3]]),
+            NOT_A_LIST.filter(lambda v: v is not None),  # absent labels are allowed
+        )
+    if kind == "point":
+        return NOT_A_SCALAR.filter(lambda v: str(v) not in ("a", "b", "c", "0", "1", "2"))
+    return NOT_A_SCALAR
+
+
+@st.composite
+def malformed_documents(draw, role):
+    """A document of the role that no loader may accept."""
+    fields = FIELDS[role]
+    kind = draw(st.sampled_from(["not an object", "missing field", "broken field"]))
+    if kind == "not an object":
+        return draw(NOT_AN_OBJECT)
+    document = json.loads(json.dumps(GOOD_DOCUMENTS[role]))
+    if kind == "missing field":
+        del document[draw(st.sampled_from([k for k in fields if k != "labels"]))]
+    else:
+        key = draw(st.sampled_from(sorted(fields)))
+        document[key] = draw(_broken_field(fields[key], document[key]))
+    return document
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_documents(subcommand, replaced):
+    """_run on the good documents of every role the subcommand reads, some replaced."""
+    documents = {**GOOD_DOCUMENTS, **replaced}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [subcommand]
+        for role in DOCUMENT_ROLES[subcommand]:
+            path = Path(tmp) / f"{role}.json"
+            path.write_text(json.dumps(documents[role]))
+            argv += [f"--{role}", str(path)]
+        return _run(argv)
+
+
+class TestMalformedFuzz:
+    """Every malformed document exits 2 with one stderr line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "subcommand, role", [(sub, role) for sub, roles in DOCUMENT_ROLES.items() for role in roles]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_documents(self, subcommand, role, data):
+        document = data.draw(malformed_documents(role))
+        code, out, err = _run_documents(subcommand, {role: document})
+        assert code == EXIT_INPUT_ERROR, (document, err)
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("maxlab: input error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("limit", "111"), ("sequence", ["211", "111"]), ("sequence", [[2, 1, 1], "111"])],
+    )
+    def test_sequence_rows_must_be_lists(self, key, value):
+        # iterating these yields three parseable scalars, so they once passed as rows
+        document = dict(GOOD_DOCUMENTS["sequence"], **{key: value})
+        code, out, err = _run_documents("lsc", {"sequence": document})
+        assert code == EXIT_INPUT_ERROR and out == "" and err.count("\n") == 1
+
+    def test_good_documents_pass(self):
+        # the fuzz breaks these; unbroken, every subcommand accepts them
+        for subcommand in DOCUMENT_ROLES:
+            assert _run_documents(subcommand, {})[0] == EXIT_OK, subcommand
+
+    @given(
+        st.one_of(
+            st.integers(-3, 1).map(lambda n: ["demo-grid", "--n", str(n)]),
+            st.integers(-3, 0).map(lambda n: ["gen", "--family", "ultrametric", "--n", str(n)]),
+            st.sampled_from(
+                [
+                    ["gen", "--family", "taxicab", "--n", "3", "--dim", "0"],
+                    ["gen", "--family", "graph", "--n", "3", "--edge-prob", "2"],
+                    ["gen", "--family", "graph", "--n", "3", "--measure-out", "m.json",
+                     "--zero-fraction", "1"],
+                ]
+            ),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arguments_of_document_free_subcommands(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
+            code, out, err = _run(argv)
+        assert code == EXIT_INPUT_ERROR
+        assert err.count("\n") == 1 and "Traceback" not in err

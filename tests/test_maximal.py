@@ -15,6 +15,7 @@ from maxlab import (
     enumerate_balls,
     gen_function,
     gen_graph_metric,
+    gen_measure,
     gen_taxicab,
     gen_ultrametric,
     inf_ball_measure_pair,
@@ -314,3 +315,80 @@ class TestProperties:
                 before = op(nu, mu, family, x).value
                 after = op(bumped, mu, family, x).value
                 assert abs(after - before) <= bound
+
+
+def _line_grid(m):
+    return line_space([Fraction(k, m) for k in range(2 * m + 1)])
+
+
+# (space, whether some point x has more containing balls than the space has
+# points, so that the non-centered argmax reads the n suffix winners)
+CANDIDATE_CASES = {
+    "taxicab20": (lambda: gen_taxicab(20, dim=2, seed=11), True),
+    "taxicab25": (lambda: gen_taxicab(25, dim=2, seed=12), True),
+    "taxicab30": (lambda: gen_taxicab(30, dim=2, seed=13), True),
+    "grid6": (lambda: _line_grid(6), True),
+    "grid8": (lambda: _line_grid(8), True),
+    "grid10": (lambda: _line_grid(10), True),
+    "dendrogram30a": (lambda: gen_ultrametric(30, seed=14), False),
+    "dendrogram30b": (lambda: gen_ultrametric(30, seed=15), False),
+}
+
+
+def _check_against_oracle(space, family, mu, f):
+    """maximal_field, at and first_gap against the oracle's argmax balls."""
+    ball_measures = _BallMeasures(family, mu)
+    table = oracle.argmax_table(space, mu, f)
+    report = maximal_field(f, mu, space, family=family)
+    assert tuple(e.point for e in report.points) == mu.support
+    for e in report.points:
+        assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
+        assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+        assert ball_measures.at(f, e.point) == (e.centered, e.noncentered)
+    gap = next((x for x in mu.support if table[x, False][0] > table[x, True][0]), None)
+    got = ball_measures.first_gap(f)
+    if gap is None:
+        assert got is None
+    else:
+        x, centered, noncentered = got
+        assert x == gap
+        assert (centered.value, centered.ball.members) == table[x, True]
+        assert (noncentered.value, noncentered.ball.members) == table[x, False]
+
+
+class TestCandidateLists:
+    """Seeded spaces large enough for both non-centered candidate lists.
+
+    Where containing[x] is longer than the space, the argmax reads the n
+    per-center suffix winners; elsewhere it scans containing[x]. The
+    measures include weightless points, and the 0/1 functions tie many
+    balls, so both the lazy (size, members) comparison and the zero-mass
+    balls are reached.
+    """
+
+    @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
+    def test_matches_oracle(self, case):
+        build, wide = CANDIDATE_CASES[case]
+        space = build()
+        family = enumerate_balls(space)
+        seed = sum(map(ord, case))
+        for zero_fraction in (0.0, 0.4):
+            mu = gen_measure(space, seed=seed, zero_fraction=zero_fraction)
+            reaches_winners = any(len(family.containing[x]) > space.n for x in mu.support)
+            assert reaches_winners == wide
+            ball_measures = _BallMeasures(family, mu)
+            for ball, mass in zip(family.balls, ball_measures.masses):
+                assert Fraction(mass, ball_measures.scale) == oracle.mass(mu, ball.members)
+            indicator = SampleFunction(tuple(Fraction(p % 3 == 0) for p in range(space.n)))
+            for f in (gen_function(space, seed=seed), indicator):
+                _check_against_oracle(space, family, mu, f)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1, 1), (1, 0, 1, 1, 0), (0, 1, 1, 1, 0)])
+    def test_pinned_tie(self, weights):
+        # at point 2 of the uniform line the balls {1,2,3}, {2,3,4}, {1,2,3,4},
+        # {0,1,2,3} and the whole line all average 0: {1,2,3} must win
+        space = line_space([0, 1, 2, 3, 4])
+        family = enumerate_balls(space)
+        assert len(family.containing[2]) > space.n
+        f = SampleFunction((0, 0, -1, 1, 0))
+        _check_against_oracle(space, family, DiscreteMeasure(weights), f)
