@@ -243,12 +243,11 @@ def verdict_to_json(
         def members(i: int) -> list[str]:
             return [space.labels[p] for p in family.balls[i].members]
 
-        # the centered ball with the same trace is written as a unit-weight combination
         out["certificates"] = [
             {
                 "point": space.labels[cert.point],
                 "ball": members(cert.ball_index),
-                "coefficients": [{"ball": members(cert.centered_index), "weight": "1/1"}],
+                "centered_ball": members(cert.centered_index),
             }
             for cert in verdict.certificates
         ]

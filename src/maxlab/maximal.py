@@ -12,17 +12,14 @@ measure's weights) by the lcm of theirs. Ball sums are then Python ints, two
 averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 `Fraction` is built only for the value returned. No float ever enters.
 
-Nothing is summed ball by ball. A ball represented by (c, r) holds exactly
-the first |B| points of `order[c]`, so its mass and each of its sums are one
-prefix sum along that row, read at |B| - 1. A field then reads suffix
-winners: winner [c][j] is the best ball of `centered_at[c][j:]`. The
-centered argmax at x is the winner [x][0]. The balls containing x are
-`centered_at[c][rank[c][x]:]` over every center c, so the non-centered
-argmax is the best of the n winners [c][rank[c][x]], or of `containing[x]`
-where that list is shorter. A one-point query builds no tables and scans
-`centered_at[x]` and `containing[x]`. Along one center the balls grow
-strictly, so a tie there goes to the earlier ball; elsewhere (size, members)
-are compared only when two cross-products are equal.
+Nothing is summed ball by ball: every ball mass and ball sum is one read,
+at `slots[i]`, of a prefix sum over the family's per-center `rows`. A field
+then reads suffix winners, winner [c][j] being the best ball of
+`centered_at[c][j:]`, in one walk that `field` and `first_gap` share. A
+one-point query builds no tables and scans `centered_at[x]` and
+`containing[x]`. Along one center the balls grow strictly, so a tie there
+goes to the earlier ball; elsewhere (size, members) are compared only when
+two cross-products are equal.
 """
 
 from __future__ import annotations
@@ -30,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .measure import DiscreteMeasure, SampleFunction
+from .measure import DiscreteMeasure, SampleFunction, _nonempty_support
 from .metric import Ball, BallFamily, FiniteMetricSpace, _scaled, enumerate_balls
 
 __all__ = [
@@ -85,50 +81,29 @@ class MaximalReport:
 class _BallMeasures:
     """A ball family bound to a measure mu, with every ball's measure as an integer.
 
-    mu's weights and the ball measures are scaled by the lcm of mu's
-    denominators. They depend only on (family, mu), so one instance serves
-    every query on that pair. A candidate ball's average (or measure ratio)
-    is S/M, with M its scaled measure and S an integer ball sum of the
-    query's scaled values; balls of measure zero read as 0.
-
-    Masses and sums are prefix sums. The ball at index i, represented by
-    (c, r), holds exactly the first |B| points of `family.order[c]`, so its
-    mass (or sum) is the prefix sum of that row read at |B| - 1. Each row
-    is accumulated only up to the largest ball its center represents, and
-    the rows lie end to end in one list, so `_slots[i]` is ball i's place
-    in it.
+    Holds only what depends on mu, its weights and the ball measures scaled
+    by the lcm of mu's denominators, and never changes once built. A
+    candidate ball's average (or measure ratio) is S/M, with M its scaled
+    measure and S an integer ball sum of the query's scaled values; balls of
+    measure zero read as 0.
     """
 
     def __init__(self, family: BallFamily, mu: DiscreteMeasure):
         if family.n != mu.n:
             raise ValueError(f"dimension mismatch: family on {family.n} points, measure on {mu.n}")
         self.family = family
+        _nonempty_support(mu)
         self.weights, self.scale = _scaled(mu.weights)
-        balls = family.balls
-        centers = [ball.center for ball in balls]
-        sizes = [len(ball.members) for ball in balls]
-        # balls are listed by center, radii ascending: the last size per center is its largest
-        reach = dict(zip(centers, sizes))
-        # offset[c] + |B| is where a ball of size |B| around c reads: its row's start + |B| - 1
-        offset: dict[int, int] = {}
-        self._rows: list[tuple[int, ...]] = []
-        start = 0
-        for c, size in reach.items():
-            offset[c] = start - 1
-            self._rows.append(family.order[c][:size])
-            start += size
-        self._slots = list(map(add, map(offset.__getitem__, centers), sizes))
         self.masses = self._ball_sums(self.weights)
         self._denominators = [m or 1 for m in self.masses]
-        self._rank_of: list[tuple[int, ...]] | None = None
 
     def _ball_sums(self, point_values: Sequence[int]) -> list[int]:
-        """Every ball's sum of point_values, by one prefix-sum read per ball."""
+        """Every ball's sum of point_values: prefix sums over the family's rows, read at its slots."""
         value = point_values.__getitem__
         prefix: list[int] = []
-        for row in self._rows:
+        for row in self.family.rows:
             prefix += accumulate(map(value, row))
-        return list(map(prefix.__getitem__, self._slots))
+        return list(map(prefix.__getitem__, self.family.slots))
 
     def _require_support(self, x: int) -> None:
         if not 0 <= x < len(self.weights):
@@ -196,18 +171,23 @@ class _BallMeasures:
                 best, best_s, best_m = i, s, m
         return best
 
-    def _noncentered(self, sums: list[int], winners: list[list[int]], x: int) -> int:
-        """Argmax over the balls containing x: of containing[x] or of the n winners, if fewer.
+    def _argmaxes(self, sums: list[int]) -> Iterator[tuple[int, int, int]]:
+        """(x, centered argmax, non-centered argmax) at each support point x, ascending.
 
-        The balls containing x are `centered_at[c][rank[c][x]:]` over every
-        center c, so the best of them is the best of `winners[c][rank[c][x]]`.
+        The centered argmax is the winner [x][0]. The balls containing x are
+        `centered_at[c][rank_of[x][c]:]` over every center c, so the
+        non-centered argmax is the best of the n winners [c][rank_of[x][c]],
+        or of `containing[x]` where that list is shorter.
         """
         family = self.family
-        if len(family.containing[x]) <= family.n:
-            return self._best(sums, family.containing[x])
-        if self._rank_of is None:
-            self._rank_of = list(zip(*family.rank))  # _rank_of[x][c] == rank[c][x]
-        return self._best(sums, map(list.__getitem__, winners, self._rank_of[x]))
+        winners = self._winners(sums)
+        for x, w in enumerate(self.weights):
+            if not w:
+                continue
+            candidates: Iterable[int] = family.containing[x]
+            if len(family.containing[x]) > family.n:
+                candidates = map(list.__getitem__, winners, family.rank_of[x])
+            yield x, winners[x][0], self._best(sums, candidates)
 
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
@@ -259,16 +239,14 @@ class _BallMeasures:
 
     def field(self, f: SampleFunction) -> MaximalReport:
         sums, factor = self._sums(f)
-        winners = self._winners(sums)
         return MaximalReport(
             points=tuple(
                 PointMaximal(
                     point=x,
-                    centered=self._value(sums, factor, winners[x][0]),
-                    noncentered=self._value(sums, factor, self._noncentered(sums, winners, x)),
+                    centered=self._value(sums, factor, c),
+                    noncentered=self._value(sums, factor, nc),
                 )
-                for x, w in enumerate(self.weights)
-                if w
+                for x, c, nc in self._argmaxes(sums)
             )
         )
 
@@ -281,12 +259,7 @@ class _BallMeasures:
         """
         denominators = self._denominators
         sums, factor = self._sums(f)
-        winners = self._winners(sums)
-        for x, w in enumerate(self.weights):
-            if not w:
-                continue
-            c = winners[x][0]
-            nc = self._noncentered(sums, winners, x)
+        for x, c, nc in self._argmaxes(sums):
             if sums[nc] * denominators[c] > sums[c] * denominators[nc]:
                 return x, self._value(sums, factor, c), self._value(sums, factor, nc)
         return None

@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative weights per point; the support must be nonempty."""
+    """Nonnegative weights per point; the zero measure may be a numerator nu, never mu."""
 
     weights: tuple[Fraction, ...]
 
@@ -33,8 +33,6 @@ class DiscreteMeasure:
         for i, w in enumerate(coerced):
             if w < 0:
                 raise ValueError(f"weight {i} is negative: {w}")
-        if all(w == 0 for w in coerced):
-            raise ValueError("measure must have nonempty support")
 
     @property
     def n(self) -> int:
@@ -76,6 +74,14 @@ class SampleFunction:
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         return SampleFunction(tuple(a + b for a, b in zip(self.values, other.values)))
+
+
+def _nonempty_support(mu: DiscreteMeasure) -> tuple[int, ...]:
+    """mu's support; a measure that divides ball sums must have one."""
+    support = mu.support
+    if not support:
+        raise ValueError("measure must have nonempty support")
+    return support
 
 
 def _check_ball(ball: Ball, n: int) -> None:

@@ -123,16 +123,20 @@ class BallFamily:
     arising from balls centered at x, radii ascending. Both sublists are
     deduplicated; `centered_at[x]` is always a subset of `containing[x]`.
     `rank[c][p]` is the position in `centered_at[c]` of the smallest ball
-    centered at c that holds p. `order[c]` lists every point by distance
-    from c, ties in ascending index order, so a ball centered at c holds
-    exactly the first len(members) points of `order[c]`.
+    centered at c that holds p, and `rank_of[p][c] == rank[c][p]`. `rows[c]`
+    lists the points by distance from c, ties by index, cut after the largest
+    ball c represents; each ball c represents holds exactly the first
+    len(members) points of it. With the rows laid end to end, ball i's last
+    point sits at `slots[i]`.
     """
 
     balls: tuple[Ball, ...]
     containing: tuple[tuple[int, ...], ...]
     centered_at: tuple[tuple[int, ...], ...]
     rank: tuple[tuple[int, ...], ...]
-    order: tuple[tuple[int, ...], ...]
+    rank_of: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    slots: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -315,14 +319,16 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     index_by_members: dict[tuple[int, ...], int] = {}
     centered_at: list[list[int]] = [[] for _ in range(n)]
     rank: list[tuple[int, ...]] = []
-    orders: list[tuple[int, ...]] = []
+    rows: list[tuple[int, ...]] = []
+    slots: list[int] = []
+    start = 0  # where rows[c] begins when the rows are laid end to end
     flat, _ = _scaled([v for row in dist for v in row])
     for c in range(n):
         row = flat[c * n : (c + 1) * n]
         # sorted() is stable, so equal distances keep ascending point order
         order = tuple(sorted(range(n), key=row.__getitem__))
-        orders.append(order)
         position: dict[int, int] = {}  # distance -> index in centered_at[c]
+        reach = 0  # size of the largest ball c represents so far
         k = 0
         while k < n:
             r = row[order[k]]
@@ -336,9 +342,13 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 idx = len(balls)
                 index_by_members[members] = idx
                 balls.append(Ball(center=c, radius=dist[c][order[k]], kind="closed", members=members))
+                slots.append(start + k)
+                reach = k + 1
             centered_at[c].append(idx)
             k += 1
         rank.append(tuple(map(position.__getitem__, row)))
+        rows.append(order[:reach])
+        start += reach
     containing: list[list[int]] = [[] for _ in range(n)]
     for idx, ball in enumerate(balls):
         for p in ball.members:
@@ -348,7 +358,9 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         containing=tuple(tuple(s) for s in containing),
         centered_at=tuple(tuple(s) for s in centered_at),
         rank=tuple(rank),
-        order=tuple(orders),
+        rank_of=tuple(zip(*rank)),
+        rows=tuple(rows),
+        slots=tuple(slots),
     )
 
 

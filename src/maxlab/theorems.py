@@ -24,6 +24,7 @@ from .maximal import MaximalValue, _BallMeasures
 from .measure import (
     DiscreteMeasure,
     SampleFunction,
+    _nonempty_support,
     ball_average,
     measure_of,
     normalized_indicator,
@@ -254,7 +255,7 @@ def coincidence_exact(
     if family is None:
         family = enumerate_balls(space)
     weights = mu.weights
-    support = mu.support
+    support = _nonempty_support(mu)
     certificates: list[HullCertificate] = []
     for x in support:
         centered = family.centered_at[x]
@@ -330,6 +331,7 @@ def verify_hull_certificates(
     on the support equals the containing ball's. Both traces are re-derived
     from the distance matrix with `closed_ball`.
     """
+    support = _nonempty_support(mu)
     if verdict.verdict != "equal" or verdict.certificates is None:
         return False
     if family is None:
@@ -348,7 +350,7 @@ def verify_hull_certificates(
         if trace(j) != trace(c):
             return False
         covered.add((x, j))
-    expected = {(x, j) for x in mu.support for j in family.containing[x]}
+    expected = {(x, j) for x in support for j in family.containing[x]}
     return covered == expected
 
 
@@ -416,8 +418,7 @@ def check_ball_infimum(
     # rows repeat few distinct masses: build each Fraction once
     measure = cache(lambda m: Fraction(m, scale))
     reciprocal = cache(lambda m: Fraction(scale, m))
-    rank = family.rank
-    rank_of = list(zip(*rank))  # rank_of[p][c] == rank[c][p]
+    rank, rank_of = family.rank, family.rank_of
     # mass_rows[c][k]: scaled measure of the k-th smallest ball centered at c
     mass_rows = [[masses[i] for i in row] for row in family.centered_at]
     support = mu.support

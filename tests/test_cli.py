@@ -230,7 +230,12 @@ class TestSubcommands:
         assert code == EXIT_OK
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["verdict"] == "equal"
-        assert result["certificates"]
+        # one certificate per (point, containing ball), naming the centered ball with its trace
+        assert len(result["certificates"]) == 6
+        assert {"point": "a", "ball": ["a", "b", "c"], "centered_ball": ["a", "b", "c"]} in result[
+            "certificates"
+        ]
+        assert all(set(cert) == {"point", "ball", "centered_ball"} for cert in result["certificates"])
 
     def test_coincide_expect_mismatch_exits_1(self, files, capsys):
         code = main(
@@ -297,6 +302,29 @@ class TestSubcommands:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["tail_inequality_holds"] is True
         assert result["noncentered_values"] == ["1/2", "3/4", "9/10"]
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [[["1/2", 0, 0], ["1/4", 0, 0]], [["1/2", 0, 0], ["1/4", 0, 0], [0, 0, 0]]],
+    )
+    def test_lsc_converging_to_zero(self, files, tmp_path, capsys, sequence):
+        # nu(B)/mu(B) = 0 for every ball: a zero limit or element needs no support
+        seq = {"sequence": sequence, "limit": [0, 0, 0], "point": "1", "deviation_bound": "1/4"}
+        path = tmp_path / "seq.json"
+        mio.write_json(seq, path)
+        code = main(
+            [
+                "lsc",
+                "--space", str(files / "line3.json"),
+                "--measure", str(files / "uniform.json"),
+                "--sequence", str(path),
+            ]
+        )
+        assert code == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["noncentered_limit"] == result["centered_limit"] == "0/1"
+        assert result["noncentered_values"][:2] == ["1/4", "1/8"]
+        assert result["centered_values"][:2] == ["1/6", "1/12"]
 
     def test_demo_grid(self, capsys):
         assert main(["demo-grid", "--n", "10"]) == EXIT_OK

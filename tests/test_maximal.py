@@ -392,3 +392,58 @@ class TestCandidateLists:
         assert len(family.containing[2]) > space.n
         f = SampleFunction((0, 0, -1, 1, 0))
         _check_against_oracle(space, family, DiscreteMeasure(weights), f)
+
+
+@st.composite
+def layout_instances(draw):
+    """A dendrogram, a 2-D taxicab cloud or a line grid, with a measure that has zero weights."""
+    kind = draw(st.sampled_from(["dendrogram", "taxicab", "grid"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "dendrogram":
+        space = gen_ultrametric(draw(st.integers(1, 24)), seed=seed)
+    elif kind == "taxicab":
+        # a small box makes tied distances likely
+        space = gen_taxicab(draw(st.integers(1, 16)), dim=2, coord_range=(0, 3), seed=seed)
+    else:
+        space = _line_grid(draw(st.integers(1, 6)))
+    weight = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(3, 7)])
+    weights = draw(st.lists(weight, min_size=space.n, max_size=space.n).filter(any))
+    return space, DiscreteMeasure(tuple(weights))
+
+
+class TestFamilyLayout:
+    """The family's rows, slots and rank transpose, read as the kernel reads them."""
+
+    @given(layout_instances())
+    @example((gen_ultrametric(20, seed=5), DiscreteMeasure((1, 0) * 10)))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_slots_and_masses(self, inst):
+        space, mu = inst
+        family = enumerate_balls(space)
+        n = space.n
+        # rows[c] is c's distance order, ties by index, cut after its largest ball
+        for c, row in enumerate(family.rows):
+            order = sorted(range(n), key=lambda p: (space.dist[c][p], p))
+            represented = [len(b.members) for b in family.balls if b.center == c]
+            assert row == tuple(order[: max(represented)])
+        starts = [0]
+        for row in family.rows:
+            starts.append(starts[-1] + len(row))
+        assert len(family.slots) == len(family.balls)
+        for ball, slot in zip(family.balls, family.slots):
+            size = len(ball.members)
+            assert sorted(family.rows[ball.center][:size]) == list(ball.members)
+            # the prefix sum over the concatenated rows is read at the ball's last point
+            assert slot == starts[ball.center] + size - 1
+        for p in range(n):
+            for c in range(n):
+                assert family.rank_of[p][c] == family.rank[c][p]
+        ball_measures = _BallMeasures(family, mu)
+        for ball, mass in zip(family.balls, ball_measures.masses):
+            assert Fraction(mass, ball_measures.scale) == oracle.mass(mu, ball.members)
+
+    def test_dendrogram_rows_stop_short(self):
+        # a dendrogram has only 2n - 1 balls: most centers represent just their singleton
+        family = enumerate_balls(gen_ultrametric(30, seed=14))
+        assert len(family.balls) == 2 * 30 - 1
+        assert sum(len(row) for row in family.rows) < 30 * 30 // 4

@@ -6,19 +6,26 @@ from hypothesis import strategies as st
 
 from maxlab import (
     Ball,
+    CoincidenceVerdict,
     DiscreteMeasure,
     SampleFunction,
     ball_average,
+    check_ball_infimum,
     closed_ball,
+    coincidence_exact,
+    coincidence_randomized,
     dirac,
     enumerate_balls,
     gen_function,
     gen_measure,
     gen_ultrametric,
+    inf_ball_measure_pair,
     integrate,
+    maximal_field,
     measure_of,
     normalized_indicator,
     open_ball,
+    verify_hull_certificates,
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -33,9 +40,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             DiscreteMeasure((1, -1, 1))
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError, match="support"):
-            DiscreteMeasure((0, 0, 0))
+    def test_empty_support_rejected(self, line3, ind2):
+        # the zero measure is a valid numerator nu, but no measure that divides
+        zero = DiscreteMeasure((0, 0, 0))
+        assert zero.support == () and zero.total == 0
+        family = enumerate_balls(line3)
+        empty = CoincidenceVerdict("equal", "exact", certificates=())
+        for call in (
+            lambda: maximal_field(ind2, zero, line3),
+            lambda: inf_ball_measure_pair(zero, family, 0, 1),
+            lambda: coincidence_exact(line3, zero),
+            lambda: coincidence_randomized(line3, zero, trials=0, seed=1),
+            lambda: verify_hull_certificates(line3, zero, empty),
+            lambda: check_ball_infimum(line3, zero),
+        ):
+            with pytest.raises(ValueError, match="nonempty support"):
+                call()
 
     def test_support(self):
         mu = DiscreteMeasure((1, 0, Fraction(1, 2)))
