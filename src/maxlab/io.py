@@ -108,12 +108,31 @@ def _load_json(path: str | Path) -> Any:
         return json.load(fh, parse_float=Fraction)
 
 
+def _parse_cells(rows: list[list[Any]]) -> list[list[Fraction]]:
+    """parse_scalar of every cell, parsing each distinct string only once.
+
+    A symmetric matrix repeats every off-diagonal value. Only strings are
+    memoized: a JSON `true` hashes like `1`, and must still be rejected.
+    """
+    memo: dict[str, Fraction] = {}
+
+    def cell(value: Any) -> Fraction:
+        if type(value) is not str:
+            return parse_scalar(value)
+        q = memo.get(value)
+        if q is None:
+            q = memo[value] = parse_scalar(value)
+        return q
+
+    return [list(map(cell, row)) for row in rows]
+
+
 def load_space(path: str | Path) -> FiniteMetricSpace:
     """Space from a JSON file ({"labels","dist"}) or a CSV distance matrix."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
         with open(p, newline="", encoding="utf-8") as fh:
-            rows = [[parse_scalar(cell) for cell in row] for row in csv.reader(fh) if row]
+            rows = _parse_cells([row for row in csv.reader(fh) if row])
         if not rows:
             raise InputFormatError(f"{p}: empty CSV matrix")
         return validate_space(rows)
@@ -130,7 +149,7 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
         isinstance(labels, list) and all(isinstance(label, str) for label in labels)
     ):
         raise InputFormatError(f"{p}: 'labels' must be a list of strings")
-    return validate_space([[parse_scalar(v) for v in row] for row in dist], labels=labels)
+    return validate_space(_parse_cells(dist), labels=labels)
 
 
 def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:

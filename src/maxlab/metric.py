@@ -4,17 +4,28 @@ Metric-axiom validation, ultrametric detection with a normalized violating
 triple, closed/open ball computation, deduplicated enumeration of every
 closed ball of a space, and midpoint-configuration search.
 
-Every public scalar is a `fractions.Fraction` and floats are rejected, so ball
-membership ties are decided exactly. Validation and ball enumeration compare
-an integer copy of the distance matrix, scaled by the lcm of its denominators.
+Every public scalar is a `fractions.Fraction`; floats and bools are rejected,
+so ball membership ties are decided exactly. Validation and every scan compare
+an integer copy of the distance matrix, scaled by the lcm of its denominators:
+`FiniteMetricSpace.int_dist`, computed once per space and kept with it.
+
+The two O(n³) scans, the triangle check of `metric_violations` and
+`ultrametric_violation`, keep their exact loop over the middle point j, but
+run it only for a pair that fails a word-parallel pre-test. Each row and each
+column of the integer matrix is packed into one Python int, one byte field per
+point with a guard bit on top (`_packed_lines`); one subtraction of such ints
+compares all n entries of a line with a threshold at once, and the guard bits
+that survive mark the entries at or above it. `enumerate_balls` deduplicates
+member sets on an int bitmask and sorts a member tuple only for a new ball.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import add
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -41,10 +52,10 @@ __all__ = [
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, exact strings ("3", "1.25", "3/4") and Fractions; reject floats."""
+    """Coerce ints, exact strings ("3", "1.25", "3/4") and Fractions; reject floats and bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -82,6 +93,15 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def int_dist(self) -> tuple[tuple[int, ...], ...]:
+        """The distance matrix times the lcm of its denominators, as ints.
+
+        Computed on first use and kept with the space, so validation and every
+        later scan of the space share one copy.
+        """
+        return _integer_matrix(self.dist)
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -165,15 +185,75 @@ def _coerce_matrix(dist: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ..
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The values times the lcm of their denominators, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*{q for _, q in ratios})
+    return tuple([p * (scale // q) for p, q in ratios]), scale
+
+
+def _integer_matrix(dist: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """A square matrix times the lcm of all its denominators, as ints."""
+    n = len(dist)
+    flat, _ = _scaled([v for row in dist for v in row])
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
+def _packed_lines(
+    matrix: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], list[int], int, int, int]:
+    """Every row and every column of an integer matrix packed into one int each.
+
+    Returns (rows, columns, offset, guards, ones). Entry j of a line, plus
+    `offset` = -min(0, min entry), fills byte field j of its int (field 0 lowest).
+    `ones` has the lowest bit of every field set and `guards` the top bit. The
+    fields are wide enough that neither a shifted entry, nor a sum of two, nor
+    a shifted entry plus `offset` reaches its guard bit. So for a packed line
+    or a sum of two, x, and a threshold t in that range, the guard of field j
+    survives in `((x | guards) - t * ones) & guards` iff field j of x is >= t:
+    no field borrows from the next.
+    """
+    n = len(matrix)
+    offset = -min(0, min(map(min, matrix), default=0))
+    top = max(map(max, matrix), default=0) + offset  # the largest shifted entry
+    width = max(2 * top, top + offset).bit_length() // 8 + 1  # bytes, guard bit included
+    if width <= 8:
+        # struct packs fields of 1, 2, 4 and 8 bytes in C
+        width = 1 << (width - 1).bit_length()
+        layout = struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 1]}")
+
+        def pack(line: Sequence[int]) -> int:
+            return int.from_bytes(layout.pack(*line), "little")
+
+    else:
+
+        def pack(line: Sequence[int]) -> int:
+            return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in line]), "little")
+
+    lines = tuple(tuple(v + offset for v in row) for row in matrix) if offset else matrix
+    rows = [pack(row) for row in lines]
+    columns = tuple(zip(*lines))
+    # a symmetric matrix's columns are its rows
+    packed_columns = rows if columns == lines else [pack(col) for col in columns]
+    ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+    return rows, packed_columns, offset, ones << (8 * width - 1), ones
 
 
 def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViolation]:
     """Every violated metric axiom of a square matrix, with indices."""
+    return _violations(dist, _integer_matrix(dist))
+
+
+def _violations(
+    dist: tuple[tuple[Fraction, ...], ...], scaled: tuple[tuple[int, ...], ...]
+) -> list[MetricViolation]:
+    """metric_violations, given the matrix's integer copy `scaled`.
+
+    The triangle check tests each pair (i, k) with i < k word-parallel first:
+    with D the integer copy, every guard bit of
+    ((row i + column k) | guards) - (D[i][k] + 2 offset) ones survives iff
+    D[i][j] + D[j][k] >= D[i][k] for every j. Only a pair that fails this runs
+    the exact scan over j.
+    """
     n = len(dist)
-    flat, _ = _scaled([v for row in dist for v in row])
-    scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
     out: list[MetricViolation] = []
     for i in range(n):
         if scaled[i][i] != 0:
@@ -190,12 +270,14 @@ def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViol
                 out.append(
                     MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
                 )
-    columns = list(zip(*scaled))
+    rows, columns, offset, guards, ones = _packed_lines(scaled)
     for i, row in enumerate(scaled):
+        packed = rows[i]
         for k in range(i + 1, n):
             # no shorter detour, no violation; the j = i, k detours (which only a
             # nonzero diagonal makes shorter) are skipped by the scan below
-            if min(map(add, row, columns[k])) >= row[k]:
+            threshold = (row[k] + 2 * offset) * ones
+            if (((packed + columns[k]) | guards) - threshold) & guards == guards:
                 continue
             for j in range(n):
                 if j == i or j == k:
@@ -235,10 +317,11 @@ def validate_space(
             raise ValueError(f"{len(labels)} labels for {n} points")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-    violations = metric_violations(matrix)
+    space = FiniteMetricSpace(labels=labels, dist=matrix)
+    violations = _violations(matrix, space.int_dist)
     if violations:
         raise MetricAxiomError(violations)
-    return FiniteMetricSpace(labels=labels, dist=matrix)
+    return space
 
 
 def line_space(
@@ -260,16 +343,21 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
     Scans pairs a < c, then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a
     violation is normalized so that x is the middle point, y the farther
     endpoint and z the nearer one (ties resolved toward the later endpoint).
+    A pair runs the scan over b only if it fails a word-parallel pre-test on
+    the packed row a and column c: the OR of their `>= d(a,c)` masks keeps
+    every guard bit iff no b lies closer than d(a,c) to both a and c.
     """
     n = space.n
-    flat, _ = _scaled([v for row in space.dist for v in row])
-    scaled = [flat[i * n : (i + 1) * n] for i in range(n)]
-    columns = list(zip(*scaled))
+    scaled = space.int_dist
+    rows, columns, offset, guards, ones = _packed_lines(scaled)
+    columns = [col | guards for col in columns]
     for a, row in enumerate(scaled):
+        packed = rows[a] | guards
         for c in range(a + 1, n):
             dac = row[c]
+            threshold = (dac + offset) * ones
             # b = a and b = c never pass: max(d(a,a), d(a,c)) >= d(a,c)
-            if min(map(max, row, columns[c])) >= dac:
+            if ((packed - threshold) | (columns[c] - threshold)) & guards == guards:
                 continue
             for b in range(n):
                 if dac > row[b] and dac > scaled[b][c]:
@@ -310,38 +398,39 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     Membership is piecewise constant in the radius, so per center it suffices
     to take the radii occurring in that center's row (r = 0 is the diagonal
     entry, giving the singleton {center}). Sets are deduplicated across
-    centers; the representative is the first (center, radius) discovered with
-    centers ascending and radii ascending.
+    centers on a bitmask of their members; the representative is the first
+    (center, radius) discovered with centers ascending and radii ascending.
     """
     n = space.n
     dist = space.dist
-    balls: list[Ball] = []
-    index_by_members: dict[tuple[int, ...], int] = {}
+    found: list[tuple[int, tuple[int, ...], int]] = []  # per ball: center c, order, last k
+    index_by_mask: dict[int, int] = {}
     centered_at: list[list[int]] = [[] for _ in range(n)]
     rank: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     slots: list[int] = []
     start = 0  # where rows[c] begins when the rows are laid end to end
-    flat, _ = _scaled([v for row in dist for v in row])
-    for c in range(n):
-        row = flat[c * n : (c + 1) * n]
+    bits = [1 << p for p in range(n)]
+    for c, row in enumerate(space.int_dist):
         # sorted() is stable, so equal distances keep ascending point order
         order = tuple(sorted(range(n), key=row.__getitem__))
         position: dict[int, int] = {}  # distance -> index in centered_at[c]
         reach = 0  # size of the largest ball c represents so far
+        mask = 0  # the members of the ball so far, bit p for point p
         k = 0
         while k < n:
             r = row[order[k]]
             # each radius adds the points at that distance, so the sets grow strictly
             position[r] = len(centered_at[c])
+            mask |= bits[order[k]]
             while k + 1 < n and row[order[k + 1]] == r:
                 k += 1
-            members = tuple(sorted(order[: k + 1]))
-            idx = index_by_members.get(members)
+                mask |= bits[order[k]]
+            idx = index_by_mask.get(mask)
             if idx is None:
-                idx = len(balls)
-                index_by_members[members] = idx
-                balls.append(Ball(center=c, radius=dist[c][order[k]], kind="closed", members=members))
+                idx = len(found)
+                index_by_mask[mask] = idx
+                found.append((c, order, k))
                 slots.append(start + k)
                 reach = k + 1
             centered_at[c].append(idx)
@@ -349,12 +438,19 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         rank.append(tuple(map(position.__getitem__, row)))
         rows.append(order[:reach])
         start += reach
+    # The balls are built only once the masks are freed. Built during the scan,
+    # among masks freed later, they left the family's queries measurably slower.
+    del index_by_mask
+    balls = tuple(
+        Ball(center=c, radius=dist[c][order[k]], kind="closed", members=tuple(sorted(order[: k + 1])))
+        for c, order, k in found
+    )
     containing: list[list[int]] = [[] for _ in range(n)]
     for idx, ball in enumerate(balls):
         for p in ball.members:
             containing[p].append(idx)
     return BallFamily(
-        balls=tuple(balls),
+        balls=balls,
         containing=tuple(tuple(s) for s in containing),
         centered_at=tuple(tuple(s) for s in centered_at),
         rank=tuple(rank),
@@ -371,8 +467,7 @@ def find_midpoint_configs(space: FiniteMetricSpace) -> list[MidpointConfig]:
     (a, b) iff 2 D[a][m] = 2 D[b][m] = D[a][b].
     """
     n = space.n
-    flat, _ = _scaled([v for row in space.dist for v in row])
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    rows = space.int_dist
     # at_half[i][t]: the points j != i with 2 D[i][j] = t, ascending
     at_half: list[dict[int, list[int]]] = []
     for i, row in enumerate(rows):

@@ -17,6 +17,7 @@ from maxlab import (
     gen_measure,
     gen_ultrametric,
     line_space,
+    validate_space,
 )
 from maxlab import io as mio
 from maxlab.cli import EXIT_INPUT_ERROR, EXIT_MATH_FAILURE, EXIT_OK, main
@@ -119,6 +120,54 @@ class TestRoundTrips:
         path.write_text("0,1,2\n1,0,1\n2,1,0\n")
         space = mio.load_space(path)
         assert space.n == 3 and space.dist[0][2] == 2
+
+    def test_csv_matches_json_twin(self, tmp_path):
+        # repeated strings, and equal values written differently
+        rows = [["0", "1/2", " 3/4", "1.25"], ["0.5", "0", "1/2", "3/4"],
+                ["3/4", "1/2", "0", "1/2 "], ["5/4", "6/8", "1/2", "0"]]
+        (tmp_path / "m.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        labels = [f"p{i}" for i in range(4)]
+        (tmp_path / "m.json").write_text(json.dumps({"labels": labels, "dist": rows}))
+        from_csv = mio.load_space(tmp_path / "m.csv")
+        from_json = mio.load_space(tmp_path / "m.json")
+        assert from_csv == from_json == validate_space(
+            [[Q(v.strip()) for v in row] for row in rows], labels=labels
+        )
+
+
+# A cell that no space loader may accept, and where it goes in a matrix of
+# strings whose off-diagonal values each appear twice: at (0, 1), its first
+# occurrence, or at (1, 0), where the valid "1/2" of (0, 1) would repeat.
+BAD_CELLS = [True, False, math.nan, math.inf, -math.inf, "1//2", "1/2x", "", "1/0"]
+
+
+class TestMemoizedCells:
+    @pytest.mark.parametrize(
+        "suffix, cell",
+        [(".json", cell) for cell in BAD_CELLS]
+        # a CSV cell is always a string
+        + [(".csv", cell) for cell in BAD_CELLS if isinstance(cell, str)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0)], ids=["first", "repeat"])
+    def test_bad_cell_exits_2(self, tmp_path, suffix, cell, where):
+        dist = [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]]
+        dist[where[0]][where[1]] = cell
+        path = tmp_path / f"space{suffix}"
+        if suffix == ".csv":
+            path.write_text("".join(",".join(row) + "\n" for row in dist))
+        else:
+            path.write_text(json.dumps({"dist": dist}))
+        code, out, err = _run(["validate", "--space", str(path)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.count("\n") == 1 and err.startswith("maxlab: input error: ")
+
+    def test_bool_after_equal_int(self, tmp_path):
+        # True == 1 and hash(True) == hash(1): a memo keyed by value would let it through
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"dist": [[0, 1, 1], [True, 0, 1], [1, 1, 0]]}))
+        code, _, err = _run(["validate", "--space", str(path)])
+        assert code == EXIT_INPUT_ERROR and "True" in err
 
 
 class TestExitCodes:
@@ -470,9 +519,18 @@ def _broken_field(kind, value):
         broken_row = st.tuples(
             row, st.one_of(NOT_A_LIST, SCALAR_ITERABLES, _vector_breaks(value[0]))
         )
+        # one cell broken in a matrix of ints or of strings, whose repeated
+        # values a loader may parse once; the cell may come first or repeat
+        broken_cell = st.tuples(row, row, NOT_A_SCALAR, st.booleans()).map(
+            lambda p: [
+                [p[2] if (i, j) == p[:2] else str(v) if p[3] else v for j, v in enumerate(r)]
+                for i, r in enumerate(value)
+            ]
+        )
         return st.one_of(
             NOT_A_LIST,
             broken_row.map(lambda p: [p[1] if i == p[0] else r for i, r in enumerate(value)]),
+            broken_cell,
         )
     if kind in ("vector", "weights"):
         broken = st.one_of(NOT_A_LIST, SCALAR_ITERABLES, _vector_breaks(value))

@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             DiscreteMeasure((1, -1, 1))
 
+    def test_bools_rejected(self):
+        # True is an int to Python, but no exact scalar
+        with pytest.raises(TypeError, match="bool"):
+            DiscreteMeasure((True,))
+        with pytest.raises(TypeError, match="bool"):
+            SampleFunction((0, False))
+        with pytest.raises(TypeError, match="bool"):
+            DiscreteMeasure((1, 1)).scaled(True)
+
     def test_empty_support_rejected(self, line3, ind2):
         # the zero measure is a valid numerator nu, but no measure that divides
         zero = DiscreteMeasure((0, 0, 0))

@@ -40,15 +40,18 @@ spaces = st.one_of(
 
 
 # Entries of malformed matrices: zero and negative values, and coprime
-# denominators up to 97, so the integer copy's common scale is large.
-entries = st.builds(
-    Fraction, st.integers(-40, 400), st.sampled_from([1, 1, 2, 3, 7, 11, 13, 89, 97])
-)
+# denominators up to 97, so the integer copy's common scale is large. Some
+# matrices also draw the primes 2**31 - 1 and 2**61 - 1, which make a packed
+# field of the triangle and ultrametric scans wider than 8 bytes.
+SMALL_DENOMINATORS = [1, 1, 2, 3, 7, 11, 13, 89, 97]
+WIDE_DENOMINATORS = SMALL_DENOMINATORS + [2**31 - 1, 2**61 - 1]
 
 
 @st.composite
-def malformed_matrices(draw):
-    n = draw(st.integers(1, 7))
+def malformed_matrices(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    denominators = draw(st.sampled_from([SMALL_DENOMINATORS, WIDE_DENOMINATORS]))
+    entries = st.builds(Fraction, st.integers(-40, 400), st.sampled_from(denominators))
     dist = [[draw(entries) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         if draw(st.booleans()):
@@ -90,6 +93,22 @@ class TestValidate:
         got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
         assert got == oracle.metric_violations(dist)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            # 2 max(shifted entry) needs exactly 8 bits: a field one bit short
+            # has no room for the guard, and the pair (1, 2) hides its violation
+            [[0, -34, -37], [-34, 0, 59], [-37, 59, 0]],
+            # the same at 72 bits, past the 8-byte fields
+            [[Fraction(1, 2**61 - 1), -280, -259], [-280, 0, 506], [-259, 506, 0]],
+        ],
+    )
+    def test_violations_at_field_width_boundaries(self, dist):
+        dist = tuple(tuple(Fraction(v) for v in row) for row in dist)
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == oracle.metric_violations(dist)
+        assert ("triangle", (1, 0, 2)) in [g[:2] for g in got]
+
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="square"):
             validate_space([[0, 1], [1, 0], [1, 1]])
@@ -101,6 +120,12 @@ class TestValidate:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             validate_space([[0, 0.5], [0.5, 0]])
+
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            validate_space([[False, True], [True, False]])
+        with pytest.raises(TypeError, match="bool"):
+            line_space([0, True])
 
     def test_restrict(self, line3):
         sub = line3.restrict([0, 2])
@@ -150,12 +175,86 @@ def tied_matrices(draw):
     return tuple(tuple(row) for row in dist)
 
 
+@st.composite
+def perturbed_dendrograms(draw):
+    """A dendrogram's matrix with one entry, or one symmetric pair, changed.
+
+    The new value is another entry of the matrix or a neighbour of the old
+    one, so the change breaks ultrametricity by a little or not at all.
+    """
+    space = gen_ultrametric(draw(st.integers(2, 14)), seed=draw(st.integers(0, 10**6)))
+    dist = [list(row) for row in space.dist]
+    i, j = draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
+    old = dist[i][j]
+    values = sorted({v for row in dist for v in row})
+    nudged = [old - Fraction(1, 7), old + Fraction(1, 7)]
+    new = draw(st.sampled_from(values + nudged))
+    dist[i][j] = new
+    if draw(st.booleans()):
+        dist[j][i] = new
+    return tuple(map(tuple, dist))
+
+
 class TestUltrametricScan:
-    @given(st.one_of(spaces.map(lambda s: s.dist), tied_matrices(), malformed_matrices()))
-    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            spaces.map(lambda s: s.dist),
+            tied_matrices(),
+            malformed_matrices(),
+            perturbed_dendrograms(),
+        )
+    )
+    @settings(max_examples=400, deadline=None)
     def test_violation_matches_brute_force(self, dist):
         space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
         assert ultrametric_violation(space) == oracle.ultrametric_violation(dist)
+
+    @given(malformed_matrices(max_n=2))
+    @settings(max_examples=60, deadline=None)
+    def test_one_and_two_points_never_violate(self, dist):
+        # with b in {a, c}, max(d(a,b), d(b,c)) >= d(a,c) for any matrix
+        space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+        assert ultrametric_violation(space) is None
+        assert oracle.ultrametric_violation(dist) is None
+
+
+def _squared_grid(side: int) -> FiniteMetricSpace:
+    """The side x side integer grid under squared Euclidean distance.
+
+    Not a metric, but every distance is tied many ways, which is what the ball
+    enumeration must get right.
+    """
+    pts = [(a, b) for a in range(side) for b in range(side)]
+    dist = tuple(tuple(Fraction((a - c) ** 2 + (b - d) ** 2) for c, d in pts) for a, b in pts)
+    return FiniteMetricSpace(labels=tuple(f"{a},{b}" for a, b in pts), dist=dist)
+
+
+def _check_family(space):
+    """enumerate_balls against the brute-force family, representatives and ranks."""
+    family = enumerate_balls(space)
+    assert {frozenset(b.members) for b in family.balls} == oracle.all_ball_sets(space)
+    assert len({b.members for b in family.balls}) == len(family)
+    assert len(family) <= space.n**2
+    first: dict[frozenset[int], tuple[int, Fraction]] = {}
+    for c in range(space.n):
+        for r in sorted(set(space.dist[c])):
+            first.setdefault(oracle.ball_members(space, c, r), (c, r))
+    for ball in family.balls:
+        # the representative recomputes to the stored member set
+        assert closed_ball(space, ball.center, ball.radius).members == ball.members
+        # and is the first (center, radius) realizing it, with an exact radius
+        assert (ball.center, ball.radius) == first[frozenset(ball.members)]
+        assert type(ball.radius) is Fraction
+    for x in range(space.n):
+        assert set(family.centered_at[x]) <= set(family.containing[x])
+        for idx in family.containing[x]:
+            assert x in family.balls[idx].members
+        # rank[x][p] names the smallest ball around x holding p
+        for p in range(space.n):
+            idx = family.centered_at[x][family.rank[x][p]]
+            assert frozenset(family.balls[idx].members) == oracle.ball_members(
+                space, x, space.dist[x][p]
+            )
 
 
 class TestBalls:
@@ -190,30 +289,28 @@ class TestBalls:
     @given(spaces)
     @settings(max_examples=50, deadline=None)
     def test_family_matches_brute_force(self, space):
-        family = enumerate_balls(space)
-        assert {frozenset(b.members) for b in family.balls} == oracle.all_ball_sets(space)
-        assert len(family) <= space.n**2
-        first: dict[frozenset[int], tuple[int, Fraction]] = {}
-        for c in range(space.n):
-            for r in sorted(set(space.dist[c])):
-                first.setdefault(oracle.ball_members(space, c, r), (c, r))
-        for ball in family.balls:
-            # the representative recomputes to the stored member set
-            assert closed_ball(space, ball.center, ball.radius).members == ball.members
-            # and is the first (center, radius) realizing it, with an exact radius
-            assert (ball.center, ball.radius) == first[frozenset(ball.members)]
-            assert type(ball.radius) is Fraction
-        for x in range(space.n):
-            assert set(family.centered_at[x]) <= set(family.containing[x])
-            for idx in family.containing[x]:
-                assert x in family.balls[idx].members
-            # rank[x][p] names the smallest ball around x holding p
-            for p in range(space.n):
-                idx = family.centered_at[x][family.rank[x][p]]
-                assert frozenset(family.balls[idx].members) == oracle.ball_members(
-                    space, x, space.dist[x][p]
-                )
+        _check_family(space)
 
+    @pytest.mark.parametrize(
+        "space",
+        [line_space([Fraction(k, m) for k in range(2 * m + 1)]) for m in (1, 3, 6, 9, 12)]
+        + [_squared_grid(s) for s in (2, 3, 4, 5)],
+        ids=[f"line-m{m}" for m in (1, 3, 6, 9, 12)] + [f"squared-{s}x{s}" for s in (2, 3, 4, 5)],
+    )
+    def test_tie_heavy_family_matches_brute_force(self, space):
+        _check_family(space)
+
+    def test_set_met_again_in_another_tie_order(self):
+        # {1, 2, 3} first appears around point 1 (at radius 2), then around
+        # point 2, which adds 1 and 3 together, and around point 3, which adds 2
+        # before 1; all three name one ball
+        space = line_space([0, 10, 11, 12])
+        family = enumerate_balls(space)
+        (idx,) = [i for i, b in enumerate(family.balls) if b.members == (1, 2, 3)]
+        assert (family.balls[idx].center, family.balls[idx].radius) == (1, 2)
+        assert family.centered_at[1][2] == idx
+        assert family.centered_at[2][1] == family.centered_at[3][2] == idx
+        _check_family(space)
     @given(spaces, st.data())
     @settings(max_examples=50, deadline=None)
     def test_radius_monotonicity(self, space, data):
