@@ -343,6 +343,7 @@ def file_sha256(path: str | Path) -> str:
 
 
 def write_json(data: Any, path: str | Path) -> None:
+    """Write data as indented JSON with a final newline, in one write."""
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -18,8 +18,12 @@ then reads suffix winners, winner [c][j] being the best ball of
 `centered_at[c][j:]`, in one walk that `field` and `first_gap` share. A
 one-point query builds no tables and scans `centered_at[x]` and
 `containing[x]`. Along one center the balls grow strictly, so a tie there
-goes to the earlier ball; elsewhere (size, members) are compared only when
-two cross-products are equal.
+goes to the earlier ball. Elsewhere two distinct balls are compared, on
+their member masks, only when two cross-products are equal.
+
+No kernel reads a ball's member tuple where its mask serves: ties compare
+masks, and the point-mass row of the pair audit (`pair_masses`) sweeps the
+balls containing p by ascending mass, writing only the points each one adds.
 """
 
 from __future__ import annotations
@@ -76,6 +80,19 @@ class MaximalReport:
 
     def noncentered_values(self) -> dict[int, Fraction]:
         return {e.point: e.noncentered.value for e in self.points}
+
+
+def _precedes(a: int, b: int) -> bool:
+    """Whether the member set with mask a comes before b: fewer members, then lexicographically.
+
+    Two sorted member tuples of equal length first differ at the smallest
+    point of the symmetric difference, so a comes first iff that point is in a.
+    """
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return size_a < size_b
+    diff = a ^ b
+    return diff & -diff & a != 0
 
 
 class _BallMeasures:
@@ -154,7 +171,8 @@ class _BallMeasures:
     def _best(self, sums: list[int], candidates: Iterable[int]) -> int:
         """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball.
 
-        A tie compares (size, members) of the two balls, and only a tie does.
+        A tie between two distinct balls compares their masks (`_precedes`),
+        and only such a tie does.
         """
         balls, denominators = self.family.balls, self._denominators
         candidates = iter(candidates)
@@ -164,9 +182,7 @@ class _BallMeasures:
             s, m = sums[i], denominators[i]
             lhs, rhs = s * best_m, best_s * m
             if lhs > rhs or (
-                lhs == rhs
-                and (len(balls[i].members), balls[i].members)
-                < (len(balls[best].members), balls[best].members)
+                lhs == rhs and i != best and _precedes(balls[i].mask, balls[best].mask)
             ):
                 best, best_s, best_m = i, s, m
         return best
@@ -220,18 +236,44 @@ class _BallMeasures:
         if not (0 <= x < family.n and 0 <= y < family.n):
             raise ValueError("point index out of range")
         balls, masses, rank = family.balls, self.masses, family.rank
-        best = min(
-            (row[max(r[x], r[y])] for row, r in zip(family.centered_at, rank)),
-            key=lambda i: (masses[i], len(balls[i].members), balls[i].members),
-        )
+        best = family.centered_at[0][max(rank[0][x], rank[0][y])]
+        for row, r in zip(family.centered_at, rank):
+            i = row[max(r[x], r[y])]
+            if masses[i] < masses[best] or (
+                masses[i] == masses[best] and i != best and _precedes(balls[i].mask, balls[best].mask)
+            ):
+                best = i
         return Fraction(masses[best], self.scale), balls[best]
 
     def pair_masses(self, p: int) -> list[int]:
-        """For every point x, the smallest scaled measure of a ball holding both p and x."""
-        balls, masses = self.family.balls, self.masses
-        row = [0] * self.family.n
+        """For every point x, the smallest scaled measure of a ball holding both p and x.
+
+        Where p lies in more balls than there are points, a sweep over them by
+        ascending mass gives each point the mass of the first ball that covers
+        it: it writes only the points a ball adds to those already covered, n
+        writes in all, and stops once every point is covered. With fewer
+        balls, every ball adds points anyway, and they are written whole.
+        """
+        family, masses = self.family, self.masses
+        n, balls = family.n, family.balls
+        containing = sorted(family.containing[p], key=masses.__getitem__)
+        row = [0] * n
+        if len(containing) > n:
+            covered, everything = 0, (1 << n) - 1
+            for i in containing:
+                new = balls[i].mask & ~covered
+                if new:
+                    covered |= new
+                    m = masses[i]
+                    while new:
+                        low = new & -new
+                        row[low.bit_length() - 1] = m
+                        new ^= low
+                    if covered == everything:
+                        break
+            return row
         # largest balls first, so each point keeps the smallest mass written to it
-        for i in sorted(self.family.containing[p], key=masses.__getitem__, reverse=True):
+        for i in reversed(containing):
             m = masses[i]
             for x in balls[i].members:
                 row[x] = m

@@ -85,8 +85,8 @@ def _nonempty_support(mu: DiscreteMeasure) -> tuple[int, ...]:
 
 
 def _check_ball(ball: Ball, n: int) -> None:
-    if ball.members and ball.members[-1] >= n:
-        raise ValueError(f"ball member {ball.members[-1]} out of range for {n} points")
+    if ball.mask.bit_length() > n:
+        raise ValueError(f"ball member {ball.mask.bit_length() - 1} out of range for {n} points")
 
 
 def measure_of(mu: DiscreteMeasure, ball: Ball) -> Fraction:

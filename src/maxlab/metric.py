@@ -16,7 +16,8 @@ column of the integer matrix is packed into one Python int, one byte field per
 point with a guard bit on top (`_packed_lines`); one subtraction of such ints
 compares all n entries of a line with a threshold at once, and the guard bits
 that survive mark the entries at or above it. `enumerate_balls` deduplicates
-member sets on an int bitmask and sorts a member tuple only for a new ball.
+member sets on an int bitmask, bit p for point p, and each `Ball` keeps its
+mask: the sorted member tuple is derived only when read.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -123,14 +125,31 @@ class FiniteMetricSpace:
         )
 
 
+# maps the characters "0" and "1" of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
 @dataclass(frozen=True)
 class Ball:
-    """A metric ball resolved to its member point set (sorted indices)."""
+    """A metric ball resolved to its member point set, bit p of `mask` for point p.
+
+    `members`, the sorted member indices, is derived from the mask on first
+    read and kept.
+    """
 
     center: int
     radius: Fraction
     kind: str  # "closed" or "open"
-    members: tuple[int, ...]
+    mask: int
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return _bit_indices(self.mask)
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,12 @@ class BallFamily:
     """All distinct closed-ball member sets of a space, with per-point indices.
 
     `balls[i]` is a representative (center, radius) realizing member set i,
-    listed by center, then radius, ascending; `containing[x]` lists family
-    indices of sets containing x; `centered_at[x]` lists family indices
-    arising from balls centered at x, radii ascending. Both sublists are
-    deduplicated; `centered_at[x]` is always a subset of `containing[x]`.
+    with that set as its mask, listed by center, then radius, ascending.
+    `containing[x]` lists the family indices of sets containing x, ascending;
+    it is the one member-sized structure the family stores. `centered_at[x]`
+    lists family indices arising from balls centered at x, radii ascending.
+    Both sublists are deduplicated; `centered_at[x]` is always a subset of
+    `containing[x]`.
     `rank[c][p]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p, and `rank_of[p][c] == rank[c][p]`. `rows[c]`
     lists the points by distance from c, ties by index, cut after the largest
@@ -333,7 +354,12 @@ def line_space(
         raise ValueError("line coordinates must be distinct")
     if labels is None:
         labels = tuple(str(p) for p in pts)
-    dist = tuple(tuple(abs(a - b) for b in pts) for a in pts)
+    # over the common denominator the differences are ints; each distinct one
+    # becomes one Fraction, shared by every entry equal to it
+    ints, scale = _scaled(pts)
+    rows = [[abs(a - b) for b in ints] for a in ints]
+    fractions = {d: Fraction(d, scale) for d in set().union(*rows)}
+    dist = tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
     return FiniteMetricSpace(labels=tuple(labels), dist=dist)
 
 
@@ -377,9 +403,8 @@ def closed_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fract
     r = as_rational(radius)
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    row = space.dist[center]
-    members = tuple(p for p in range(space.n) if row[p] <= r)
-    return Ball(center=center, radius=r, kind="closed", members=members)
+    mask = sum(1 << p for p, d in enumerate(space.dist[center]) if d <= r)
+    return Ball(center=center, radius=r, kind="closed", mask=mask)
 
 
 def open_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fraction) -> Ball:
@@ -387,9 +412,8 @@ def open_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fractio
     r = as_rational(radius)
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    row = space.dist[center]
-    members = tuple(p for p in range(space.n) if row[p] < r)
-    return Ball(center=center, radius=r, kind="open", members=members)
+    mask = sum(1 << p for p, d in enumerate(space.dist[center]) if d < r)
+    return Ball(center=center, radius=r, kind="open", mask=mask)
 
 
 def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
@@ -409,12 +433,14 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     rank: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     slots: list[int] = []
+    represented: list[list[int]] = []  # per center, `ends` below
     start = 0  # where rows[c] begins when the rows are laid end to end
     bits = [1 << p for p in range(n)]
     for c, row in enumerate(space.int_dist):
         # sorted() is stable, so equal distances keep ascending point order
         order = tuple(sorted(range(n), key=row.__getitem__))
         position: dict[int, int] = {}  # distance -> index in centered_at[c]
+        ends: list[int] = []  # the last k of each ball c represents
         reach = 0  # size of the largest ball c represents so far
         mask = 0  # the members of the ball so far, bit p for point p
         k = 0
@@ -432,23 +458,34 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 index_by_mask[mask] = idx
                 found.append((c, order, k))
                 slots.append(start + k)
+                ends.append(k)
                 reach = k + 1
             centered_at[c].append(idx)
             k += 1
         rank.append(tuple(map(position.__getitem__, row)))
         rows.append(order[:reach])
+        represented.append(ends)
         start += reach
-    # The balls are built only once the masks are freed. Built during the scan,
-    # among masks freed later, they left the family's queries measurably slower.
-    del index_by_mask
+    # The dict lists the masks in family order. The balls are built after the
+    # scan: built during it, they left the family's queries measurably slower.
     balls = tuple(
-        Ball(center=c, radius=dist[c][order[k]], kind="closed", members=tuple(sorted(order[: k + 1])))
-        for c, order, k in found
+        Ball(center=c, radius=dist[c][order[k]], kind="closed", mask=mask)
+        for (c, order, k), mask in zip(found, index_by_mask)
     )
+    del index_by_mask
+    # The balls c represents are consecutive in the family, each a longer
+    # prefix of rows[c]: the points a ball adds lie in it and in every later one.
     containing: list[list[int]] = [[] for _ in range(n)]
-    for idx, ball in enumerate(balls):
-        for p in ball.members:
-            containing[p].append(idx)
+    first = 0
+    for row, ends in zip(rows, represented):
+        ids = list(range(first, first + len(ends)))
+        k0 = 0
+        for j, k in enumerate(ends):
+            later = ids[j:]
+            for p in row[k0 : k + 1]:
+                containing[p] += later
+            k0 = k + 1
+        first += len(ends)
     return BallFamily(
         balls=balls,
         containing=tuple(tuple(s) for s in containing),

@@ -14,10 +14,10 @@ independent checker can re-verify without trusting the decision.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from typing import Sequence
 
 from .maximal import MaximalValue, _BallMeasures
@@ -34,6 +34,7 @@ from .metric import (
     BallFamily,
     FiniteMetricSpace,
     MidpointConfig,
+    _bit_indices,
     as_rational,
     closed_ball,
     enumerate_balls,
@@ -241,6 +242,9 @@ def coincidence_exact(
     exactly when B ∩ S is the trace of a centered ball. With R the largest
     rank from x over B ∩ S, that holds iff B ∩ S holds every point of S of
     rank <= R, and the centered ball of rank R is then the smallest match.
+    Traces are bitmasks, a ball's mask AND the support's. The centered traces
+    are nested, so R is found by bisection for the smallest one that holds
+    B's trace, and one equality test decides.
 
     `equal` carries one certificate per (support point, containing ball),
     naming the ball itself if it is centered at x, else that centered ball.
@@ -256,32 +260,33 @@ def coincidence_exact(
         family = enumerate_balls(space)
     weights = mu.weights
     support = _nonempty_support(mu)
+    support_mask = sum(1 << p for p in support)
+    balls = family.balls
     certificates: list[HullCertificate] = []
     for x in support:
         centered = family.centered_at[x]
         centered_set = set(centered)
-        rank = family.rank[x]
-        # count[r]: points of S of rank <= r from x
-        per_rank = [0] * len(centered)
-        for p in support:
-            per_rank[rank[p]] += 1
-        count = list(accumulate(per_rank))
+        # traces[k]: the points of S of rank <= k from x; the last is all of S
+        traces = [balls[i].mask & support_mask for i in centered]
         for j in family.containing[x]:
             if j in centered_set:
                 certificates.append(HullCertificate(x, j, j))
                 continue
-            ball = family.balls[j]
-            trace = [p for p in ball.members if weights[p]]
-            top = max(map(rank.__getitem__, trace))
-            if len(trace) == count[top]:
+            ball = balls[j]
+            trace = ball.mask & support_mask
+            # the traces are nested, and the first that holds B ∩ S has rank R
+            top = bisect_left(traces, True, key=lambda t: trace & ~t == 0)
+            if trace == traces[top]:
                 certificates.append(HullCertificate(x, j, centered[top]))
                 continue
-            far = next(p for p in trace if rank[p] == top)
-            q = next(p for p in support if rank[p] <= top and p not in ball.members)
+            # the trace holds x, which has rank 0, so here top >= 1
+            outer = trace & ~traces[top - 1]  # the points of B ∩ S of rank R
+            far = _lowest_bit(outer)
+            q = _lowest_bit(traces[top] & ~ball.mask)
             ball_measures = _BallMeasures(family, mu)
             values = [_ZERO] * mu.n
-            for p in trace:
-                values[p] = Fraction(2 if rank[p] == top else 1)
+            for p in _bit_indices(trace):
+                values[p] = Fraction(2 if outer >> p & 1 else 1)
             values[q] = Fraction(-2 * ball_measures.masses[j], ball_measures.scale) / weights[q]
             f = SampleFunction(tuple(values))
             cv, nv = ball_measures.at(f, x)
@@ -292,6 +297,11 @@ def coincidence_exact(
                 "distinct", "exact", witness=witness, explanation=(x, far, q, ball.center)
             )
     return CoincidenceVerdict("equal", "exact", certificates=tuple(certificates))
+
+
+def _lowest_bit(mask: int) -> int:
+    """The position of the lowest set bit of a positive int."""
+    return (mask & -mask).bit_length() - 1
 
 
 def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:

@@ -394,6 +394,26 @@ class TestCandidateLists:
         _check_against_oracle(space, family, DiscreteMeasure(weights), f)
 
 
+def _check_pair_kernels(space, family, mu):
+    """pair_masses and inf_ball_measure_pair against the oracle's ball sets.
+
+    For every pair (p, x): the smallest measure of a ball holding both, and
+    the argmin ball, ties to the fewest members, then the first sorted ones.
+    """
+    sets = [(oracle.mass(mu, s), tuple(sorted(s))) for s in oracle.all_ball_sets(space)]
+    ball_measures = _BallMeasures(family, mu)
+    for p in range(space.n):
+        row = ball_measures.pair_masses(p)
+        for x in range(space.n):
+            holding = [(m, s) for m, s in sets if p in s and x in s]
+            least = min(m for m, _ in holding)
+            assert Fraction(row[x], ball_measures.scale) == least
+            value, ball = inf_ball_measure_pair(mu, family, p, x)
+            assert value == least
+            winners = [s for m, s in holding if m == least]
+            assert ball.members == min(winners, key=lambda s: (len(s), s))
+
+
 @st.composite
 def layout_instances(draw):
     """A dendrogram, a 2-D taxicab cloud or a line grid, with a measure that has zero weights."""
@@ -447,3 +467,36 @@ class TestFamilyLayout:
         family = enumerate_balls(gen_ultrametric(30, seed=14))
         assert len(family.balls) == 2 * 30 - 1
         assert sum(len(row) for row in family.rows) < 30 * 30 // 4
+
+
+class TestMaskKernels:
+    """The kernels that read ball masks, against the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
+    def test_pair_kernels_on_both_sides_of_the_sweep_rule(self, case):
+        # pair_masses sweeps by coverage where p lies in more balls than points
+        build, wide = CANDIDATE_CASES[case]
+        space = build()
+        family = enumerate_balls(space)
+        assert any(len(family.containing[p]) > space.n for p in range(space.n)) == wide
+        mu = gen_measure(space, seed=sum(map(ord, case)), zero_fraction=0.4)
+        _check_pair_kernels(space, family, mu)
+
+    @given(layout_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_kernels_match_oracle(self, inst):
+        space, mu = inst
+        _check_pair_kernels(space, enumerate_balls(space), mu)
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_argmax_balls_on_line_grids(self, m, data):
+        # few distinct averages, so equal-size balls tie often
+        space = _line_grid(m)
+        n = space.n
+        weight = st.sampled_from([Fraction(0), Fraction(1), Fraction(1), Fraction(2)])
+        weights = data.draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+        value = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+        values = data.draw(st.lists(value, min_size=n, max_size=n))
+        mu, f = DiscreteMeasure(tuple(weights)), SampleFunction(tuple(values))
+        _check_against_oracle(space, enumerate_balls(space), mu, f)

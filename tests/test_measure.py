@@ -32,7 +32,8 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 
 
 def _ball(members):
-    return Ball(center=members[0], radius=Fraction(0), kind="closed", members=tuple(members))
+    mask = sum(1 << p for p in members)
+    return Ball(center=members[0], radius=Fraction(0), kind="closed", mask=mask)
 
 
 class TestConstruction:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle
 from maxlab import (
+    Ball,
     FiniteMetricSpace,
     MetricAxiomError,
     closed_ball,
@@ -62,6 +63,40 @@ def malformed_matrices(draw, max_n=12):
     return tuple(tuple(row) for row in dist)
 
 
+@st.composite
+def byte_boundary_matrices(draw):
+    """Integer matrices with negative entries whose packed fields sit at a byte boundary.
+
+    The largest entry shifted by the offset -min entry, top, lies just below
+    2**(8k - 1), so 2 top, which sets the field width, needs exactly 8k bits:
+    a field one bit narrower has no room for its guard bit. k is 1, 2, 4 or 8,
+    the widths that `struct` packs, or 9. The entries cluster at the two
+    extremes, and for some 0 < i < k the triple (i, 0, k) holds the deepest
+    triangle violation the matrix can have: d(i,k) the largest entry, d(i,0)
+    and d(0,k) the smallest. Its deficit, top + offset, passes 2**(8k - 1),
+    and point 0 has the lowest field, so in too narrow a field a borrow out of
+    it runs through every field above.
+    """
+    n = draw(st.integers(3, 5))
+    bits = 8 * draw(st.sampled_from([1, 2, 4, 8, 9]))
+    below = draw(st.integers(1, 2 ** (bits - 4)))
+    top = 2 ** (bits - 1) - below
+    offset = draw(st.integers(below + 1, top))
+    low, high = -offset, top - offset
+    entries = st.one_of(st.sampled_from([low, high, 0]), st.integers(low, high))
+    dist = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(0, 3)):  # mostly a zero diagonal
+            dist[i][i] = 0
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)):  # mostly symmetric pairs
+                dist[j][i] = dist[i][j]
+    i, k = sorted(draw(st.permutations(range(1, n)))[:2])
+    dist[i][k] = dist[k][i] = high
+    dist[i][0] = dist[0][k] = low
+    return tuple(tuple(Fraction(v) for v in row) for row in dist)
+
+
 class TestValidate:
     def test_single_point(self):
         space = validate_space([[0]])
@@ -87,7 +122,7 @@ class TestValidate:
         assert any(v.axiom == "diagonal" and v.indices == (1,) for v in violations)
         assert any(v.axiom == "symmetry" and v.indices == (0, 1) for v in violations)
 
-    @given(malformed_matrices())
+    @given(st.one_of(malformed_matrices(), byte_boundary_matrices()))
     @settings(max_examples=300, deadline=None)
     def test_violations_match_brute_force(self, dist):
         got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
@@ -202,6 +237,7 @@ class TestUltrametricScan:
             tied_matrices(),
             malformed_matrices(),
             perturbed_dendrograms(),
+            byte_boundary_matrices(),
         )
     )
     @settings(max_examples=400, deadline=None)
@@ -240,6 +276,8 @@ def _check_family(space):
         for r in sorted(set(space.dist[c])):
             first.setdefault(oracle.ball_members(space, c, r), (c, r))
     for ball in family.balls:
+        # the members are the set bits of the mask, ascending
+        assert ball.members == tuple(p for p in range(space.n) if ball.mask >> p & 1)
         # the representative recomputes to the stored member set
         assert closed_ball(space, ball.center, ball.radius).members == ball.members
         # and is the first (center, radius) realizing it, with an exact radius
@@ -247,8 +285,9 @@ def _check_family(space):
         assert type(ball.radius) is Fraction
     for x in range(space.n):
         assert set(family.centered_at[x]) <= set(family.containing[x])
-        for idx in family.containing[x]:
-            assert x in family.balls[idx].members
+        # every ball holding x, in family order
+        holding = tuple(i for i, b in enumerate(family.balls) if x in b.members)
+        assert family.containing[x] == holding
         # rank[x][p] names the smallest ball around x holding p
         for p in range(space.n):
             idx = family.centered_at[x][family.rank[x][p]]
@@ -265,6 +304,22 @@ class TestBalls:
 
     def test_open_ball_strict(self, line3):
         assert open_ball(line3, 1, 1).members == (1,)
+
+    @given(spaces, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_point_balls_match_brute_force(self, space, data):
+        c = data.draw(st.integers(0, space.n - 1))
+        entries = sorted(set(space.dist[c]))
+        r = data.draw(st.one_of(st.sampled_from(entries), st.fractions(0, entries[-1] + 1)))
+        for ball, strict in ((closed_ball(space, c, r), False), (open_ball(space, c, r), True)):
+            expected = oracle.ball_members(space, c, r, strict=strict)
+            assert ball.members == tuple(sorted(expected))
+            assert ball.mask == sum(1 << p for p in expected)
+
+    @given(st.integers(0, 2**700))
+    def test_members_are_the_set_bits(self, mask):
+        ball = Ball(center=0, radius=Fraction(0), kind="closed", mask=mask)
+        assert ball.members == tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
     def test_negative_radius(self, line3):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from maxlab import (
     gen_measure,
     gen_taxicab,
     gen_ultrametric,
+    line_space,
     maximal_field,
     normalized_indicator,
     ultrametric_violation,
@@ -213,6 +214,18 @@ small_spaces = st.one_of(
     ),
 )
 weight_values = st.sampled_from([Q(0), Q(0), Q(1), Q(2), Q(1, 3), Q(5, 7)])
+tied_spaces = st.one_of(
+    st.integers(1, 7).map(lambda m: line_space([Q(k, m) for k in range(2 * m + 1)])),
+    st.tuples(st.integers(2, 14), st.integers(0, 10**6)).map(
+        lambda t: gen_taxicab(t[0], dim=2, coord_range=(0, 3), seed=t[1])
+    ),
+    st.tuples(st.integers(2, 14), st.integers(0, 10**6)).map(
+        lambda t: gen_graph_metric(t[0], edge_probability=0.3, seed=t[1])
+    ),
+    st.tuples(st.integers(2, 16), st.integers(0, 10**6)).map(
+        lambda t: gen_ultrametric(t[0], seed=t[1])
+    ),
+)
 
 
 class TestTraceDecision:
@@ -237,33 +250,56 @@ class TestTraceDecision:
         weights = data.draw(
             st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
         )
-        mu = DiscreteMeasure(tuple(weights))
-        family = enumerate_balls(space)
-        verdict = coincidence_exact(space, mu, family=family)
-        assert (verdict.verdict == "equal") == oracle.coincides(space, weights)
-        support = frozenset(mu.support)
-        dist = space.dist
-        if verdict.verdict == "equal":
-            assert verify_hull_certificates(space, mu, verdict, family=family)
-            for cert in verdict.certificates:
-                x, j = cert.point, cert.ball_index
-                idx = cert.centered_index
-                if j in family.centered_at[x]:  # a centered ball certifies itself
-                    assert idx == j
-                    continue
-                # otherwise the smallest ball centered at x with the same trace
-                trace = frozenset(family.balls[j].members) & support
-                r = min(r for r in dist[x] if oracle.ball_members(space, x, r) & support == trace)
-                assert frozenset(family.balls[idx].members) == oracle.ball_members(space, x, r)
-        else:
-            witness = verdict.witness
-            x, f = witness.point, witness.function
-            assert witness.centered_value == oracle.centered_value(space, mu, f, x)
-            assert witness.noncentered_value == oracle.noncentered_value(space, mu, f, x)
-            ex, p, q, c = verdict.explanation
-            assert ex == x and {p, q} <= support
-            r = max(dist[c][x], dist[c][p])  # the smallest ball around c holding x and p
-            assert dist[x][q] <= dist[x][p] and dist[c][q] > r
+        _check_decision(space, DiscreteMeasure(tuple(weights)))
+
+    @given(tied_spaces, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_trace_oracle_on_tied_spaces(self, space, data):
+        # more points and many equal distances: long, tied rank tables to bisect
+        weights = data.draw(
+            st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
+        )
+        _check_decision(space, DiscreteMeasure(tuple(weights)))
+
+
+def _check_decision(space, mu):
+    """coincidence_exact against the oracle: verdict, certificates and explanation."""
+    family = enumerate_balls(space)
+    verdict = coincidence_exact(space, mu, family=family)
+    assert (verdict.verdict == "equal") == oracle.coincides(space, mu.weights)
+    support = frozenset(mu.support)
+    dist = space.dist
+    if verdict.verdict == "equal":
+        assert verify_hull_certificates(space, mu, verdict, family=family)
+        for cert in verdict.certificates:
+            x, j = cert.point, cert.ball_index
+            idx = cert.centered_index
+            if j in family.centered_at[x]:  # a centered ball certifies itself
+                assert idx == j
+                continue
+            # otherwise the smallest ball centered at x with the same trace
+            trace = frozenset(family.balls[j].members) & support
+            r = min(r for r in dist[x] if oracle.ball_members(space, x, r) & support == trace)
+            assert frozenset(family.balls[idx].members) == oracle.ball_members(space, x, r)
+        return
+    witness = verdict.witness
+    x, f = witness.point, witness.function
+    assert witness.centered_value == oracle.centered_value(space, mu, f, x)
+    assert witness.noncentered_value == oracle.noncentered_value(space, mu, f, x)
+    ex, p, q, c = verdict.explanation
+    assert ex == x and {p, q} <= support
+    # four distance comparisons: every ball around c that holds x and p misses
+    # q, p lies beyond x, and q no farther from x than p
+    assert dist[c][q] > dist[c][x] and dist[c][q] > dist[c][p]
+    assert 0 < dist[x][p] and dist[x][q] <= dist[x][p]
+    # the witness is positive exactly on the ball's trace B ∩ S, and 2 on its
+    # points farthest from x: p is the first of those, q the first point of S
+    # outside B no farther from x than they are
+    trace = [s for s in range(space.n) if f.values[s] > 0]
+    far = max(dist[x][s] for s in trace)
+    assert p == min(s for s in trace if dist[x][s] == far)
+    assert all(f.values[s] == (2 if dist[x][s] == far else 1) for s in trace)
+    assert q == min(s for s in support if dist[x][s] <= far and s not in trace)
 
 
 class TestHullCertificateChecker:
