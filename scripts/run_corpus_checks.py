@@ -4,11 +4,13 @@
 Covers: exact field equality on merge-tree (ultrametric) spaces, witness
 construction on non-ultrametric spaces, the point-mass product identity, and
 the implication from an `equal` coincidence verdict to the pairwise
-ball-infimum bounds. Everything is seeded; rerunning reproduces the numbers.
+ball-infimum bounds. Every generated space is also written as JSON and as CSV
+and loaded back. Everything is seeded; rerunning reproduces the numbers.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,6 +34,20 @@ from maxlab import (
     verify_hull_certificates,
     verify_witness,
 )
+from maxlab import io as mio
+
+
+def check_loaded(space) -> None:
+    """load_space of the space's JSON and CSV files gives back its labels, dist and int_dist."""
+    with tempfile.TemporaryDirectory(prefix="corpus-") as tmp:
+        json_path, csv_path = Path(tmp) / "space.json", Path(tmp) / "space.csv"
+        mio.write_json(mio.space_to_json(space), json_path)
+        csv_path.write_text("".join(",".join(map(mio.scalar_str, row)) + "\n" for row in space.dist))
+        # a CSV matrix carries no labels
+        for path, labels in ((json_path, space.labels), (csv_path, tuple(f"p{i}" for i in range(space.n)))):
+            loaded = mio.load_space(path)
+            assert loaded.labels == labels and loaded.dist == space.dist, path.name
+            assert loaded.int_dist == space.int_dist, path.name
 
 
 def main() -> int:
@@ -46,6 +62,7 @@ def main() -> int:
     equalities = 0
     for k in range(args.count):
         space = gen_ultrametric((k % args.max_n) + 1, seed=base + k)
+        check_loaded(space)
         family = enumerate_balls(space)
         mu = gen_measure(space, seed=base + 7 * k, zero_fraction=0.2)
         f = gen_function(space, seed=base + 13 * k)
@@ -76,6 +93,7 @@ def main() -> int:
         )
         k += 1
         drawn += 1
+        check_loaded(space)
         triple = ultrametric_violation(space)
         if triple is None:
             continue
@@ -95,6 +113,7 @@ def main() -> int:
         f"[non-ultrametric] {witnesses} witnesses verified (from {drawn} draws), "
         f"{identity_pairs} point-mass identity pairs exact ({time.perf_counter() - t0:.2f}s)"
     )
+    print(f"[files] {args.count + drawn} spaces loaded back from JSON and CSV unchanged")
     return 0
 
 

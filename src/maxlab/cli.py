@@ -13,6 +13,7 @@ resolved seed verbatim. MAXLAB_SEED is used when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -302,9 +303,14 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write("\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         seed = _resolve_seed(args)
     except mio.InputFormatError as exc:

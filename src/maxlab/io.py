@@ -8,6 +8,11 @@ rendering for human eyes only.
 
 Space file: {"labels": [str], "dist": [[scalar]]}  (or a CSV distance matrix).
 Measure / function file: {"weights": [scalar]} / {"f": [scalar]}.
+
+The loaders parse each distinct cell of a file once, in first-occurrence
+order, so an error names the first bad cell. A space's Fraction matrix and its
+lcm-scaled integer copy (`int_dist`) are both mapped from that table of
+distinct cells, and validation reads the integer copy.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import csv
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
 from .measure import DiscreteMeasure, SampleFunction
-from .metric import Ball, BallFamily, FiniteMetricSpace, validate_space
+from .metric import Ball, BallFamily, FiniteMetricSpace, _checked_space, _scaled
 from .maximal import MaximalReport
 from .theorems import (
     BallInfimumReport,
@@ -102,29 +108,37 @@ def scalar_json(q: Fraction) -> dict[str, str]:
     return {"ratio": scalar_str(q), "decimal": scalar_decimal(q)}
 
 
-def _load_json(path: str | Path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        # parse_float receives the literal text, so decimals convert exactly
-        return json.load(fh, parse_float=Fraction)
+class _Literals(dict):
+    """Literal text -> Fraction, converting each distinct literal once."""
 
-
-def _parse_cells(rows: list[list[Any]]) -> list[list[Fraction]]:
-    """parse_scalar of every cell, parsing each distinct string only once.
-
-    A symmetric matrix repeats every off-diagonal value. Only strings are
-    memoized: a JSON `true` hashes like `1`, and must still be rejected.
-    """
-    memo: dict[str, Fraction] = {}
-
-    def cell(value: Any) -> Fraction:
-        if type(value) is not str:
-            return parse_scalar(value)
-        q = memo.get(value)
-        if q is None:
-            q = memo[value] = parse_scalar(value)
+    def __missing__(self, text: str) -> Fraction:
+        q = self[text] = Fraction(text)
         return q
 
-    return [list(map(cell, row)) for row in rows]
+
+def _load_json(path: str | Path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        # parse_float receives the literal text, so decimals convert exactly;
+        # equal literals share one Fraction, which a cell table then finds by identity
+        return json.load(fh, parse_float=_Literals().__getitem__)
+
+
+def _scalar_table(cells: list[Any]) -> dict[Any, Fraction]:
+    """parse_scalar of each distinct cell, keyed by the cell, in first-occurrence order.
+
+    So the first bad cell of the list is the one an error names. A JSON `true`
+    equals 1 and would merge with an earlier 1, and a list or an object cannot
+    be a key; either is a bad cell, and sends the list through cell by cell.
+    """
+    try:
+        table = dict.fromkeys(cells)
+    except TypeError:  # an unhashable cell
+        table = None
+    if table is None or ((0 in table or 1 in table) and bool in set(map(type, cells))):
+        return {v: parse_scalar(v) for v in cells}
+    for v in table:
+        table[v] = parse_scalar(v)
+    return table
 
 
 def load_space(path: str | Path) -> FiniteMetricSpace:
@@ -132,24 +146,32 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         with open(p, newline="", encoding="utf-8") as fh:
-            rows = _parse_cells([row for row in csv.reader(fh) if row])
-        if not rows:
+            dist, labels = [row for row in csv.reader(fh) if row], None
+        if not dist:
             raise InputFormatError(f"{p}: empty CSV matrix")
-        return validate_space(rows)
-    try:
-        data = _load_json(p)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "dist" not in data:
-        raise InputFormatError(f"{p}: expected an object with a 'dist' matrix")
-    dist, labels = data["dist"], data.get("labels")
-    if not (isinstance(dist, list) and all(isinstance(row, list) for row in dist)):
-        raise InputFormatError(f"{p}: 'dist' must be a list of lists")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
-    ):
-        raise InputFormatError(f"{p}: 'labels' must be a list of strings")
-    return validate_space(_parse_cells(dist), labels=labels)
+    else:
+        try:
+            data = _load_json(p)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict) or "dist" not in data:
+            raise InputFormatError(f"{p}: expected an object with a 'dist' matrix")
+        dist, labels = data["dist"], data.get("labels")
+        if not (isinstance(dist, list) and all(isinstance(row, list) for row in dist)):
+            raise InputFormatError(f"{p}: 'dist' must be a list of lists")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+        ):
+            raise InputFormatError(f"{p}: 'labels' must be a list of strings")
+    table = _scalar_table(list(chain.from_iterable(dist)))
+    # the lcm of the distinct values' denominators is that of the whole matrix
+    ints, _ = _scaled(list(table.values()))
+    scaled = dict(zip(table, ints))
+    return _checked_space(
+        tuple(tuple(map(table.__getitem__, row)) for row in dist),
+        labels,
+        tuple(tuple(map(scaled.__getitem__, row)) for row in dist),
+    )
 
 
 def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:
@@ -162,7 +184,8 @@ def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:
         raise InputFormatError(f"{p}: expected an object with a {key!r} array")
     if not isinstance(data[key], list):
         raise InputFormatError(f"{p}: {key!r} must be a list")
-    values = [parse_scalar(v) for v in data[key]]
+    table = _scalar_table(data[key])
+    values = list(map(table.__getitem__, data[key]))
     if n is not None and len(values) != n:
         raise InputFormatError(f"{p}: {key!r} has {len(values)} entries, expected {n}")
     return values

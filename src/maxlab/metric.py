@@ -7,7 +7,8 @@ closed ball of a space, and midpoint-configuration search.
 Every public scalar is a `fractions.Fraction`; floats and bools are rejected,
 so ball membership ties are decided exactly. Validation and every scan compare
 an integer copy of the distance matrix, scaled by the lcm of its denominators:
-`FiniteMetricSpace.int_dist`, computed once per space and kept with it.
+`FiniteMetricSpace.int_dist`, computed once per space and kept with it (a
+space loaded from a file gets it from the loader).
 
 The two O(n³) scans, the triangle check of `metric_violations` and
 `ultrametric_violation`, keep their exact loop over the middle point j, but
@@ -26,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import combinations, compress, count
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -200,10 +201,6 @@ class MidpointConfig:
             raise ValueError("midpoint endpoints must differ")
 
 
-def _coerce_matrix(dist: Sequence[Sequence[object]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(as_rational(v) for v in row) for row in dist)
-
-
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The values times the lcm of their denominators, as ints, and that lcm."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -279,8 +276,13 @@ def _violations(
     for i in range(n):
         if scaled[i][i] != 0:
             out.append(MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {dist[i][i]} != 0"))
-    for i in range(n):
-        for j in range(i + 1, n):
+    # every pair i < j is symmetric and positive iff the matrix equals its
+    # transpose and each row's smallest entry right of the diagonal is positive;
+    # only a matrix that fails either runs the loop that lists the violations
+    if scaled != tuple(zip(*scaled)) or any(
+        min(row[i + 1 :], default=1) <= 0 for i, row in enumerate(scaled)
+    ):
+        for i, j in combinations(range(n), 2):
             if scaled[i][j] != scaled[j][i]:
                 out.append(
                     MetricViolation(
@@ -323,7 +325,15 @@ def validate_space(
     Shape problems (non-square matrix, label mismatch, duplicate labels) raise
     ValueError; axiom violations raise MetricAxiomError carrying every violation.
     """
-    matrix = _coerce_matrix(dist)
+    return _checked_space(tuple(tuple(as_rational(v) for v in row) for row in dist), labels)
+
+
+def _checked_space(
+    matrix: tuple[tuple[Fraction, ...], ...],
+    labels: Sequence[str] | None,
+    int_dist: tuple[tuple[int, ...], ...] | None = None,
+) -> FiniteMetricSpace:
+    """validate_space of a matrix of Fractions; the space keeps `int_dist` if given."""
     n = len(matrix)
     if n == 0:
         raise ValueError("a space needs at least one point")
@@ -339,6 +349,9 @@ def validate_space(
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
     space = FiniteMetricSpace(labels=labels, dist=matrix)
+    if int_dist is not None:
+        # a frozen dataclass: fill the cached_property's slot directly
+        object.__setattr__(space, "int_dist", int_dist)
     violations = _violations(matrix, space.int_dist)
     if violations:
         raise MetricAxiomError(violations)
@@ -467,9 +480,10 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         represented.append(ends)
         start += reach
     # The dict lists the masks in family order. The balls are built after the
-    # scan: built during it, they left the family's queries measurably slower.
+    # scan (built during it, they left the family's queries measurably slower),
+    # eagerly, and by position, which a frozen dataclass takes faster than keywords.
     balls = tuple(
-        Ball(center=c, radius=dist[c][order[k]], kind="closed", mask=mask)
+        Ball(c, dist[c][order[k]], "closed", mask)
         for (c, order, k), mask in zip(found, index_by_mask)
     )
     del index_by_mask

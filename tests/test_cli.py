@@ -19,8 +19,10 @@ from maxlab import (
     line_space,
     validate_space,
 )
+from maxlab import cli
 from maxlab import io as mio
 from maxlab.cli import EXIT_INPUT_ERROR, EXIT_MATH_FAILURE, EXIT_OK, main
+from maxlab.metric import _integer_matrix
 
 Q = Fraction
 
@@ -168,6 +170,134 @@ class TestMemoizedCells:
         path.write_text(json.dumps({"dist": [[0, 1, 1], [True, 0, 1], [1, 1, 0]]}))
         code, _, err = _run(["validate", "--space", str(path)])
         assert code == EXIT_INPUT_ERROR and "True" in err
+
+
+def _forms(q):
+    """The ways a document may write q, as (JSON token, CSV text) pairs."""
+    ratio = f"{q.numerator}/{q.denominator}"
+    padded = f" {2 * q.numerator}/{2 * q.denominator} "  # unreduced, padded
+    forms = [(json.dumps(ratio), ratio), (json.dumps(padded), padded)]
+    if 10**6 % q.denominator == 0:
+        scaled = abs(q.numerator) * (10**6 // q.denominator)
+        decimal = f"{'-' if q < 0 else ''}{scaled // 10**6}.{scaled % 10**6:06d}"
+        forms += [(json.dumps(decimal), decimal), (decimal, decimal)]  # a string, a JSON literal
+    if q.denominator == 1:
+        forms.append((str(q.numerator), str(q.numerator)))  # a JSON int
+    return forms
+
+
+@st.composite
+def written_cells(draw, values, size):
+    """`size` cells drawn from a few values, each written in a form of its own."""
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    return [draw(st.sampled_from(_forms(draw(st.sampled_from(pool))))) for _ in range(size)]
+
+
+@st.composite
+def written_spaces(draw):
+    """The JSON and CSV texts of one metric: distances in [1, 2], few distinct, mixed forms."""
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.fractions(1, 2, max_denominator=10), min_size=1, max_size=4))
+    cells = [[draw(st.sampled_from(_forms(Fraction(0))))] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # a distance and its mirror, each written in a form of its own
+            q = draw(st.sampled_from(pool))
+            cells[i][j], cells[j][i] = draw(st.lists(st.sampled_from(_forms(q)), min_size=2, max_size=2))
+    tokens = ", ".join("[" + ", ".join(token for token, _ in row) + "]" for row in cells)
+    labels = json.dumps([f"x{i}" for i in range(n)])
+    return (
+        f'{{"labels": {labels}, "dist": [{tokens}]}}',
+        "".join(",".join(text for _, text in row) + "\n" for row in cells),
+    )
+
+
+class TestIngestion:
+    """The loaders against parse_scalar of every cell of the same documents."""
+
+    @given(documents=written_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_space_matches_per_cell_parse(self, tmp_path_factory, documents):
+        json_text, csv_text = documents
+        tmp = tmp_path_factory.mktemp("ingest")
+        (tmp / "s.json").write_text(json_text)
+        (tmp / "s.csv").write_text(csv_text)
+        document = json.loads(json_text, parse_float=Fraction)
+        for path, rows, labels in (
+            (tmp / "s.json", document["dist"], document["labels"]),
+            (tmp / "s.csv", [line.split(",") for line in csv_text.splitlines()], None),
+        ):
+            loaded = mio.load_space(path)
+            expected = validate_space([[mio.parse_scalar(c) for c in row] for row in rows], labels)
+            assert loaded.labels == expected.labels
+            assert loaded.dist == expected.dist
+            assert all(type(v) is Fraction for row in loaded.dist for v in row)
+            assert loaded.int_dist == _integer_matrix(loaded.dist)
+
+    @given(
+        weights=st.integers(0, 9).flatmap(
+            lambda n: written_cells(st.fractions(0, 3, max_denominator=10), n)
+        ),
+        values=st.integers(0, 9).flatmap(
+            lambda n: written_cells(st.fractions(-3, 3, max_denominator=10), n)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vectors_match_per_entry_parse(self, tmp_path_factory, weights, values):
+        tmp = tmp_path_factory.mktemp("vectors")
+        for key, cells, load in (
+            ("weights", weights, lambda p: mio.load_measure(p).weights),
+            ("f", values, lambda p: mio.load_function(p).values),
+        ):
+            path = tmp / f"{key}.json"
+            path.write_text(f'{{"{key}": [{", ".join(token for token, _ in cells)}]}}')
+            raw = json.loads(path.read_text(), parse_float=Fraction)[key]
+            assert load(path) == tuple(mio.parse_scalar(c) for c in raw)
+
+    # (first, second): the bad cells at (0, 2) and (1, 0), with a valid 1 at (0, 1)
+    @pytest.mark.parametrize(
+        "first, second",
+        [("x", "y"), ("1/0", "1//2"), (True, "y"), ("y", True), ([1], "y"), ("y", [1]), (None, {"a": 1})],
+        ids=repr,
+    )
+    def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path, first, second):
+        dist = [[0, 1, first], [second, 0, 1], [1, 1, 0]]
+        paths = [tmp_path / "s.json"]
+        paths[0].write_text(json.dumps({"dist": dist}))
+        if isinstance(first, str) and isinstance(second, str):
+            paths.append(tmp_path / "s.csv")
+            paths[1].write_text("".join(",".join(map(str, row)) + "\n" for row in dist))
+        for path in paths:
+            with pytest.raises(mio.InputFormatError) as info:
+                mio.load_space(path)
+            assert repr(first) in str(info.value) and repr(second) not in str(info.value)
+
+
+class TestParserReuse:
+    def test_consecutive_calls_parse_independently(self, files, monkeypatch):
+        seen = []
+
+        def record(args, seed):
+            seen.append(vars(args))
+            return {}
+
+        for name in ("coincide", "gen", "demo-grid"):
+            monkeypatch.setitem(cli._HANDLERS, name, record)
+        space, measure = str(files / "line3.json"), str(files / "uniform.json")
+        runs = [
+            ["coincide", "--space", space, "--measure", measure, "--mode", "randomized",
+             "--trials", "5", "--expect", "equal", "--seed", "3"],
+            ["coincide", "--space", space, "--measure", measure],
+            ["gen", "--family", "taxicab", "--n", "4", "--dim", "3", "--seed", "1"],
+            ["demo-grid", "--n", "3"],
+            ["coincide", "--space", space, "--measure", measure, "--trials", "7"],
+        ]
+        for argv in runs:
+            assert _run(argv)[0] == EXIT_OK
+        assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in runs]
+        assert [args["mode"] for args in seen if args["subcommand"] == "coincide"] == [
+            "randomized", "exact", "exact"
+        ]
 
 
 class TestExitCodes:

@@ -64,6 +64,31 @@ def malformed_matrices(draw, max_n=12):
 
 
 @st.composite
+def one_fault_matrices(draw):
+    """A metric, distances in [1, 2], with one planted fault.
+
+    The fault is a pair at zero or below, one entry of a pair changed, or a
+    nonzero diagonal entry. Every other entry passes the whole-matrix symmetry
+    and positivity test, so the fault alone decides whether the pairs are listed.
+    """
+    n = draw(st.integers(2, 8))
+    entries = st.fractions(1, 2, max_denominator=6)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(entries)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    fault = draw(st.sampled_from(["positivity", "symmetry", "diagonal"]))
+    if fault == "positivity":
+        dist[i][j] = dist[j][i] = draw(st.fractions(-2, 0, max_denominator=6))
+    elif fault == "symmetry":
+        dist[i][j] = draw(entries.filter(lambda q: q != dist[j][i]))
+    else:
+        dist[i][i] = draw(entries)
+    return tuple(tuple(row) for row in dist)
+
+
+@st.composite
 def byte_boundary_matrices(draw):
     """Integer matrices with negative entries whose packed fields sit at a byte boundary.
 
@@ -122,7 +147,7 @@ class TestValidate:
         assert any(v.axiom == "diagonal" and v.indices == (1,) for v in violations)
         assert any(v.axiom == "symmetry" and v.indices == (0, 1) for v in violations)
 
-    @given(st.one_of(malformed_matrices(), byte_boundary_matrices()))
+    @given(st.one_of(malformed_matrices(), byte_boundary_matrices(), one_fault_matrices()))
     @settings(max_examples=300, deadline=None)
     def test_violations_match_brute_force(self, dist):
         got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
