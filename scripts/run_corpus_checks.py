@@ -2,10 +2,12 @@
 """Run the theorem-level checks over freshly generated corpora and print a summary.
 
 Covers: exact field equality on merge-tree (ultrametric) spaces, witness
-construction on non-ultrametric spaces, the point-mass product identity, and
-the implication from an `equal` coincidence verdict to the pairwise
-ball-infimum bounds. Every generated space is also written as JSON and as CSV
-and loaded back. Everything is seeded; rerunning reproduces the numbers.
+construction on non-ultrametric spaces, the point-mass product identity, the
+implication from an `equal` coincidence verdict to the pairwise ball-infimum
+bounds, and the certificates of `equal` verdicts on non-ultrametric spaces
+under sparse measures, where some containing ball is certified by another
+ball centered at the point. Every generated space is also written as JSON and
+as CSV and loaded back. Everything is seeded; rerunning reproduces the numbers.
 """
 
 import argparse
@@ -71,7 +73,7 @@ def main() -> int:
             equalities += 1
         verdict = coincidence_exact(space, mu, family=family)
         assert verdict.verdict == "equal"
-        assert verify_hull_certificates(space, mu, verdict, family=family)
+        assert verify_hull_certificates(space, mu, verdict)
         report = check_ball_infimum(space, mu, family=family)
         assert report.all_inequalities_hold and report.all_symmetric
     print(
@@ -82,6 +84,8 @@ def main() -> int:
     t0 = time.perf_counter()
     witnesses = 0
     identity_pairs = 0
+    equal_verdicts = 0
+    nontrivial = 0  # equal verdicts with a certificate (x, B, C), C != B
     k = 0
     drawn = 0
     while witnesses < args.count:
@@ -98,9 +102,18 @@ def main() -> int:
         if triple is None:
             continue
         family = enumerate_balls(space)
-        witness = construct_witness(space, triple, family=family)
+        witness = construct_witness(space, triple)
         assert verify_witness(space, witness)
         witnesses += 1
+        # in an ultrametric space every ball is centered at each of its points,
+        # so only here can a certificate name two different balls
+        for zero_fraction in (0.5, 0.8):
+            sparse = gen_measure(space, seed=base + 300 + k, zero_fraction=zero_fraction)
+            verdict = coincidence_exact(space, sparse, family=family)
+            if verdict.verdict == "equal":
+                assert verify_hull_certificates(space, sparse, verdict)
+                equal_verdicts += 1
+                nontrivial += any(c.ball != c.centered_ball for c in verdict.certificates)
         mu = gen_measure(space, seed=base + 200 + k, zero_fraction=0.0)
         for x in mu.support:
             delta = dirac(space, x)
@@ -111,8 +124,11 @@ def main() -> int:
                 identity_pairs += 1
     print(
         f"[non-ultrametric] {witnesses} witnesses verified (from {drawn} draws), "
-        f"{identity_pairs} point-mass identity pairs exact ({time.perf_counter() - t0:.2f}s)"
+        f"{identity_pairs} point-mass identity pairs exact, {equal_verdicts} equal verdicts "
+        f"under sparse measures verified, {nontrivial} with non-trivial certificates "
+        f"({time.perf_counter() - t0:.2f}s)"
     )
+    assert nontrivial, "no certificate named a ball other than the one it certifies"
     print(f"[files] {args.count + drawn} spaces loaded back from JSON and CSV unchanged")
     return 0
 

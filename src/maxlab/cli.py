@@ -17,19 +17,14 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Any
 
 from . import io as mio
 from .maximal import maximal_field
-from .measure import DiscreteMeasure
 from .metric import (
     MetricAxiomError,
     enumerate_balls,
     is_ultrametric,
     ultrametric_violation,
-    validate_space,
 )
 from .generators import gen_function, gen_graph_metric, gen_measure, gen_taxicab, gen_ultrametric
 from .theorems import (
@@ -65,18 +60,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         except ValueError:
             raise mio.InputFormatError(f"MAXLAB_SEED={env!r} is not an integer") from None
     return 0
-
-
-def _point_index(space, raw: str) -> int:
-    if raw in space.labels:
-        return space.index_of(raw)
-    try:
-        idx = int(raw)
-    except ValueError:
-        raise mio.InputFormatError(f"unknown point {raw!r}") from None
-    if not 0 <= idx < space.n:
-        raise mio.InputFormatError(f"point index {idx} out of range")
-    return idx
 
 
 def _cmd_validate(args, seed: int) -> dict:
@@ -116,7 +99,7 @@ def _cmd_coincide(args, seed: int) -> dict:
         verdict = coincidence_exact(space, mu, family=family)
     else:
         verdict = coincidence_randomized(space, mu, trials=args.trials, seed=seed, family=family)
-    result = mio.verdict_to_json(verdict, space, family)
+    result = mio.verdict_to_json(verdict, space)
     if args.expect is not None and verdict.verdict != args.expect:
         raise MathFailure(
             f"expected verdict {args.expect!r} but computed {verdict.verdict!r}", result
@@ -132,8 +115,7 @@ def _cmd_witness(args, seed: int) -> dict:
             "the space is ultrametric; no gap witness exists",
             {"ultrametric": True, "witness": None},
         )
-    family = enumerate_balls(space)
-    witness = construct_witness(space, triple, family=family)
+    witness = construct_witness(space, triple)
     return {
         "ultrametric": False,
         "violating_triple": [space.labels[p] for p in triple],
@@ -152,20 +134,7 @@ def _cmd_lemma22(args, seed: int) -> dict:
 def _cmd_lsc(args, seed: int) -> dict:
     space = mio.load_space(args.space)
     mu = mio.load_measure(args.measure, space.n)
-    with open(args.sequence, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=Fraction)
-    rows, limit = (data.get("sequence"), data.get("limit")) if isinstance(data, dict) else (None, None)
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise mio.InputFormatError(f"{args.sequence}: 'sequence' must be a list of lists")
-    if not isinstance(limit, list):
-        raise mio.InputFormatError(f"{args.sequence}: 'limit' must be a list")
-    try:
-        sequence = [DiscreteMeasure(tuple(mio.parse_scalar(v) for v in row)) for row in rows]
-        nu_limit = DiscreteMeasure(tuple(mio.parse_scalar(v) for v in limit))
-        point = _point_index(space, str(data["point"]))
-        bound = mio.parse_scalar(data["deviation_bound"])
-    except KeyError as exc:
-        raise mio.InputFormatError(f"{args.sequence}: bad sequence file: missing {exc}") from None
+    sequence, nu_limit, point, bound = mio.load_sequence(args.sequence, space)
     report = check_lower_semicontinuity(mu, space, sequence, nu_limit, point, bound)
     result = mio.lsc_report_to_json(report, space)
     if not (report.tail_inequality_holds and report.per_step_bounds_hold):

@@ -8,6 +8,8 @@ rendering for human eyes only.
 
 Space file: {"labels": [str], "dist": [[scalar]]}  (or a CSV distance matrix).
 Measure / function file: {"weights": [scalar]} / {"f": [scalar]}.
+Sequence file: {"sequence": [[scalar]], "limit": [scalar], "point": label or
+index, "deviation_bound": scalar}.
 
 The loaders parse each distinct cell of a file once, in first-occurrence
 order, so an error names the first bad cell. A space's Fraction matrix and its
@@ -44,6 +46,7 @@ __all__ = [
     "load_space",
     "load_measure",
     "load_function",
+    "load_sequence",
     "space_to_json",
     "measure_to_json",
     "function_to_json",
@@ -116,11 +119,14 @@ class _Literals(dict):
         return q
 
 
-def _load_json(path: str | Path) -> Any:
+def _load_json(path: Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        # parse_float receives the literal text, so decimals convert exactly;
-        # equal literals share one Fraction, which a cell table then finds by identity
-        return json.load(fh, parse_float=_Literals().__getitem__)
+        try:
+            # parse_float receives the literal text, so decimals convert exactly;
+            # equal literals share one Fraction, which a cell table then finds by identity
+            return json.load(fh, parse_float=_Literals().__getitem__)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _scalar_table(cells: list[Any]) -> dict[Any, Fraction]:
@@ -141,6 +147,11 @@ def _scalar_table(cells: list[Any]) -> dict[Any, Fraction]:
     return table
 
 
+def _scalars(cells: list[Any]) -> tuple[Fraction, ...]:
+    table = _scalar_table(cells)
+    return tuple(map(table.__getitem__, cells))
+
+
 def load_space(path: str | Path) -> FiniteMetricSpace:
     """Space from a JSON file ({"labels","dist"}) or a CSV distance matrix."""
     p = Path(path)
@@ -150,10 +161,7 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
         if not dist:
             raise InputFormatError(f"{p}: empty CSV matrix")
     else:
-        try:
-            data = _load_json(p)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
+        data = _load_json(p)
         if not isinstance(data, dict) or "dist" not in data:
             raise InputFormatError(f"{p}: expected an object with a 'dist' matrix")
         dist, labels = data["dist"], data.get("labels")
@@ -174,29 +182,58 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
     )
 
 
-def _load_vector(path: str | Path, key: str, n: int | None) -> list[Fraction]:
+def _load_vector(path: str | Path, key: str, n: int | None) -> tuple[Fraction, ...]:
     p = Path(path)
-    try:
-        data = _load_json(p)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{p}: invalid JSON: {exc}") from None
+    data = _load_json(p)
     if not isinstance(data, dict) or key not in data:
         raise InputFormatError(f"{p}: expected an object with a {key!r} array")
     if not isinstance(data[key], list):
         raise InputFormatError(f"{p}: {key!r} must be a list")
-    table = _scalar_table(data[key])
-    values = list(map(table.__getitem__, data[key]))
+    values = _scalars(data[key])
     if n is not None and len(values) != n:
         raise InputFormatError(f"{p}: {key!r} has {len(values)} entries, expected {n}")
     return values
 
 
 def load_measure(path: str | Path, n: int | None = None) -> DiscreteMeasure:
-    return DiscreteMeasure(tuple(_load_vector(path, "weights", n)))
+    return DiscreteMeasure(_load_vector(path, "weights", n))
 
 
 def load_function(path: str | Path, n: int | None = None) -> SampleFunction:
-    return SampleFunction(tuple(_load_vector(path, "f", n)))
+    return SampleFunction(_load_vector(path, "f", n))
+
+
+def _point_index(space: FiniteMetricSpace, raw: str) -> int:
+    if raw in space.labels:
+        return space.index_of(raw)
+    try:
+        idx = int(raw)
+    except ValueError:
+        raise InputFormatError(f"unknown point {raw!r}") from None
+    if not 0 <= idx < space.n:
+        raise InputFormatError(f"point index {idx} out of range")
+    return idx
+
+
+def load_sequence(
+    path: str | Path, space: FiniteMetricSpace
+) -> tuple[list[DiscreteMeasure], DiscreteMeasure, int, Fraction]:
+    """The measure sequence, its limit, the point and the deviation bound of a sequence file."""
+    p = Path(path)
+    data = _load_json(p)
+    rows, limit = (data.get("sequence"), data.get("limit")) if isinstance(data, dict) else (None, None)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputFormatError(f"{p}: 'sequence' must be a list of lists")
+    if not isinstance(limit, list):
+        raise InputFormatError(f"{p}: 'limit' must be a list")
+    try:
+        sequence = [DiscreteMeasure(_scalars(row)) for row in rows]
+        nu_limit = DiscreteMeasure(_scalars(limit))
+        point = _point_index(space, str(data["point"]))
+        bound = parse_scalar(data["deviation_bound"])
+    except KeyError as exc:
+        raise InputFormatError(f"{p}: bad sequence file: missing {exc}") from None
+    return sequence, nu_limit, point, bound
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -267,9 +304,7 @@ def witness_to_json(witness: Witness, space: FiniteMetricSpace) -> dict:
     }
 
 
-def verdict_to_json(
-    verdict: CoincidenceVerdict, space: FiniteMetricSpace, family: BallFamily
-) -> dict:
+def verdict_to_json(verdict: CoincidenceVerdict, space: FiniteMetricSpace) -> dict:
     out: dict[str, Any] = {
         "verdict": verdict.verdict,
         "method": verdict.method,
@@ -281,15 +316,11 @@ def verdict_to_json(
         keys = ("point", "farthest", "nearer", "center")
         out["explanation"] = {k: space.labels[i] for k, i in zip(keys, verdict.explanation)}
     if verdict.certificates is not None:
-
-        def members(i: int) -> list[str]:
-            return [space.labels[p] for p in family.balls[i].members]
-
         out["certificates"] = [
             {
                 "point": space.labels[cert.point],
-                "ball": members(cert.ball_index),
-                "centered_ball": members(cert.centered_index),
+                "ball": [space.labels[p] for p in cert.ball.members],
+                "centered_ball": [space.labels[p] for p in cert.centered_ball.members],
             }
             for cert in verdict.certificates
         ]

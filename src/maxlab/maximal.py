@@ -229,16 +229,17 @@ class _BallMeasures:
         """The smallest measure of a ball holding x and y, ties to the smallest ball.
 
         Around each center c the smallest ball holding both is the one of rank
-        max(rank[c][x], rank[c][y]); any larger ball around c is no lighter
-        and strictly bigger, so only these n candidates can win.
+        max(rank_of[x][c], rank_of[y][c]); any larger ball around c is no
+        lighter and strictly bigger, so only these n candidates can win.
         """
         family = self.family
         if not (0 <= x < family.n and 0 <= y < family.n):
             raise ValueError("point index out of range")
-        balls, masses, rank = family.balls, self.masses, family.rank
-        best = family.centered_at[0][max(rank[0][x], rank[0][y])]
-        for row, r in zip(family.centered_at, rank):
-            i = row[max(r[x], r[y])]
+        balls, masses = family.balls, self.masses
+        rank_x, rank_y = family.rank_of[x], family.rank_of[y]
+        best = family.centered_at[0][max(rank_x[0], rank_y[0])]
+        for row, rx, ry in zip(family.centered_at, rank_x, rank_y):
+            i = row[max(rx, ry)]
             if masses[i] < masses[best] or (
                 masses[i] == masses[best] and i != best and _precedes(balls[i].mask, balls[best].mask)
             ):

@@ -164,18 +164,16 @@ class BallFamily:
     lists family indices arising from balls centered at x, radii ascending.
     Both sublists are deduplicated; `centered_at[x]` is always a subset of
     `containing[x]`.
-    `rank[c][p]` is the position in `centered_at[c]` of the smallest ball
-    centered at c that holds p, and `rank_of[p][c] == rank[c][p]`. `rows[c]`
-    lists the points by distance from c, ties by index, cut after the largest
-    ball c represents; each ball c represents holds exactly the first
-    len(members) points of it. With the rows laid end to end, ball i's last
-    point sits at `slots[i]`.
+    `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
+    centered at c that holds p. `rows[c]` lists the points by distance from
+    c, ties by index, cut after the largest ball c represents; each ball c
+    represents holds exactly the first len(members) points of it. With the
+    rows laid end to end, ball i's last point sits at `slots[i]`.
     """
 
     balls: tuple[Ball, ...]
     containing: tuple[tuple[int, ...], ...]
     centered_at: tuple[tuple[int, ...], ...]
-    rank: tuple[tuple[int, ...], ...]
     rank_of: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
     slots: tuple[int, ...]
@@ -504,7 +502,6 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         balls=balls,
         containing=tuple(tuple(s) for s in containing),
         centered_at=tuple(tuple(s) for s in centered_at),
-        rank=tuple(rank),
         rank_of=tuple(zip(*rank)),
         rows=tuple(rows),
         slots=tuple(slots),

@@ -107,8 +107,8 @@ class HullCertificate:
     """
 
     point: int
-    ball_index: int  # family index of a ball containing point
-    centered_index: int  # family index of a ball centered at point, same trace
+    ball: Ball  # a ball containing point
+    centered_ball: Ball  # a ball centered at point with the same trace
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,7 @@ class CoincidenceVerdict:
             raise ValueError("exact equal verdicts must carry hull certificates")
 
 
-def construct_witness(
-    space: FiniteMetricSpace, triple: tuple[int, int, int], family: BallFamily | None = None
-) -> Witness:
+def construct_witness(space: FiniteMetricSpace, triple: tuple[int, int, int]) -> Witness:
     """Gap witness from a normalized ultrametric violation (x, y, z).
 
     Requires d(x,z) <= d(x,y) < d(z,y), the shape returned by
@@ -150,7 +148,7 @@ def construct_witness(
     function is the unit-mass indicator of {y}; evaluation happens at x. Every
     ball centered at x that reaches y also swallows z, while the ball around y
     of radius d(x,y) contains x but not z, so the values are exactly 1/3 and
-    1/2 regardless of the ambient space.
+    1/2 regardless of the ambient space; `verify_witness` re-checks them.
     """
     x, y, z = triple
     n = space.n
@@ -165,10 +163,7 @@ def construct_witness(
         weights[p] = _ONE
     nu = DiscreteMeasure(tuple(weights))
     f = normalized_indicator(space, (y,), nu)
-    if family is None:
-        family = enumerate_balls(space)
-    cv, nv = _BallMeasures(family, nu).at(f, x)
-    return Witness(nu, f, x, centered_value=cv.value, noncentered_value=nv.value)
+    return Witness(nu, f, x, centered_value=Fraction(1, 3), noncentered_value=Fraction(1, 2))
 
 
 def coincidence_randomized(
@@ -212,8 +207,9 @@ def coincidence_randomized(
     support = mu.support
     for p in support:
         pair_masses = ball_measures.pair_masses(p)
+        ranks = family.rank_of[p]
         for x in support:
-            if pair_masses[x] < masses[family.centered_at[x][family.rank[x][p]]]:
+            if pair_masses[x] < masses[family.centered_at[x][ranks[x]]]:
                 f = normalized_indicator(space, (p,), mu)
                 cv, nv = ball_measures.at(f, x)
                 witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
@@ -269,15 +265,15 @@ def coincidence_exact(
         # traces[k]: the points of S of rank <= k from x; the last is all of S
         traces = [balls[i].mask & support_mask for i in centered]
         for j in family.containing[x]:
-            if j in centered_set:
-                certificates.append(HullCertificate(x, j, j))
-                continue
             ball = balls[j]
+            if j in centered_set:
+                certificates.append(HullCertificate(x, ball, ball))
+                continue
             trace = ball.mask & support_mask
             # the traces are nested, and the first that holds B ∩ S has rank R
             top = bisect_left(traces, True, key=lambda t: trace & ~t == 0)
             if trace == traces[top]:
-                certificates.append(HullCertificate(x, j, centered[top]))
+                certificates.append(HullCertificate(x, ball, balls[centered[top]]))
                 continue
             # the trace holds x, which has rank 0, so here top >= 1
             outer = trace & ~traces[top - 1]  # the points of B ∩ S of rank R
@@ -329,39 +325,39 @@ def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:
 
 
 def verify_hull_certificates(
-    space: FiniteMetricSpace,
-    mu: DiscreteMeasure,
-    verdict: CoincidenceVerdict,
-    family: BallFamily | None = None,
+    space: FiniteMetricSpace, mu: DiscreteMeasure, verdict: CoincidenceVerdict
 ) -> bool:
     """Check an exact `equal` verdict by plain set comparison, without the decision.
 
-    Requires full coverage (one certificate per support point and containing
-    ball) and, for each certificate, a centered ball at its point whose trace
-    on the support equals the containing ball's. Both traces are re-derived
-    from the distance matrix with `closed_ball`.
+    Shares nothing with the ball family: every closed ball, one per center
+    and distinct radius of its row, is re-derived with `closed_ball`. A
+    certificate's two balls must be those of their (center, radius), its
+    centered ball one around its point (whatever center it names), and their
+    traces on the support equal; together they cover each (support point,
+    ball holding it) pair, and nothing else.
     """
-    support = _nonempty_support(mu)
+    support = frozenset(_nonempty_support(mu))
     if verdict.verdict != "equal" or verdict.certificates is None:
         return False
-    if family is None:
-        family = enumerate_balls(space)
-    weights = mu.weights
+    members = {
+        (c, r): frozenset(closed_ball(space, c, r).members)
+        for c, row in enumerate(space.dist)
+        for r in set(row)
+    }
+    around = {(c, ball) for (c, _), ball in members.items()}
 
-    def trace(i: int) -> set[int]:
-        ball = family.balls[i]
-        return {p for p in closed_ball(space, ball.center, ball.radius).members if weights[p]}
+    def rederived(ball: Ball) -> frozenset[int] | None:
+        """The members of the closed ball (center, radius), if the ball holds exactly those."""
+        derived = members.get((ball.center, ball.radius))
+        return derived if derived == frozenset(ball.members) else None
 
-    covered: set[tuple[int, int]] = set()
+    covered: set[tuple[int, frozenset[int]]] = set()
     for cert in verdict.certificates:
-        x, j, c = cert.point, cert.ball_index, cert.centered_index
-        if weights[x] == 0 or j not in family.containing[x] or c not in family.centered_at[x]:
+        x, ball, centered = cert.point, rederived(cert.ball), rederived(cert.centered_ball)
+        if ball is None or (x, centered) not in around or ball & support != centered & support:
             return False
-        if trace(j) != trace(c):
-            return False
-        covered.add((x, j))
-    expected = {(x, j) for x in support for j in family.containing[x]}
-    return covered == expected
+        covered.add((x, ball))
+    return covered == {(x, ball) for ball in set(members.values()) for x in ball & support}
 
 
 @dataclass(frozen=True)
@@ -414,12 +410,13 @@ def check_ball_infimum(
     records whether they hold here.
 
     Every value is read off integer ball masses and the family's per-center
-    ranks. B(y, d(x,y)) is the ball of rank rank[y][x] around y. The smallest
-    ball around c holding x and y is the one of rank max(rank[c][x],
-    rank[c][y]), so the pair infimum is a minimum over the centers c. The
-    point-mass maximal is 1 over the smallest mass of a ball holding x and y
-    found by a separate sweep over the balls containing x, so the identity
-    dirac_maximal * pair_infimum = 1 stays a check between two computations.
+    ranks. B(y, d(x,y)) is the ball of rank rank_of[x][y] around y. The
+    smallest ball around c holding x and y is the one of rank
+    max(rank_of[x][c], rank_of[y][c]), so the pair infimum is a minimum over
+    the centers c. The point-mass maximal is 1 over the smallest mass of a
+    ball holding x and y found by a separate sweep over the balls containing
+    x, so the identity dirac_maximal * pair_infimum = 1 stays a check between
+    two computations.
     """
     if family is None:
         family = enumerate_balls(space)
@@ -428,21 +425,22 @@ def check_ball_infimum(
     # rows repeat few distinct masses: build each Fraction once
     measure = cache(lambda m: Fraction(m, scale))
     reciprocal = cache(lambda m: Fraction(scale, m))
-    rank, rank_of = family.rank, family.rank_of
+    rank_of = family.rank_of
     # mass_rows[c][k]: scaled measure of the k-th smallest ball centered at c
     mass_rows = [[masses[i] for i in row] for row in family.centered_at]
     support = mu.support
     rows: list[PairBallCheck] = []
     for x in support:
         dirac_row = ball_measures.pair_masses(x)
+        ranks_x = rank_of[x]
         # row c clipped below x's rank: entry k is the smallest ball around c
         # holding x and the points of rank k
-        holding_x = [row[r : r + 1] * r + row[r:] for row, r in zip(mass_rows, rank_of[x])]
+        holding_x = [row[r : r + 1] * r + row[r:] for row, r in zip(mass_rows, ranks_x)]
         for y in support:
             if y == x:
                 continue
-            m_y = mass_rows[y][rank[y][x]]
-            m_x = mass_rows[x][rank[x][y]]
+            m_y = mass_rows[y][ranks_x[y]]
+            m_x = mass_rows[x][rank_of[y][x]]
             inf_m = min(map(list.__getitem__, holding_x, rank_of[y]))
             rows.append(
                 PairBallCheck(
@@ -520,8 +518,9 @@ def check_lower_semicontinuity(
     nc_values = tuple(nc.value for _, nc in values)
     c_limit, nc_limit = (v.value for v in ball_measures.at(nu_limit, x))
 
-    min_ball = min(ball_measures.masses[i] for i in family.containing[x])
-    constant = Fraction(mu.n * ball_measures.scale, min_ball)
+    # every ball holding x holds {x}, the ball of radius 0 around x, so
+    # mu({x}) is the smallest ball measure at x
+    constant = mu.n / mu.weights[x]
     tail_start = len(nu_sequence) // 2
     tolerance = constant * max(deviations[tail_start:])
     tail_ok = min(nc_values[tail_start:]) >= nc_limit - tolerance and min(

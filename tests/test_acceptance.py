@@ -145,7 +145,7 @@ def test_criterion_5_decision_soundness_small_spaces():
             if exact.verdict == "equal":
                 equal_count += 1
                 assert randomized.verdict == "equal"
-                assert verify_hull_certificates(space, mu, exact, family=family)
+                assert verify_hull_certificates(space, mu, exact)
             else:
                 assert verify_witness(space, exact.witness)
             combos += 1

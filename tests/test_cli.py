@@ -740,6 +740,15 @@ class TestMalformedFuzz:
         code, out, err = _run_documents("lsc", {"sequence": document})
         assert code == EXIT_INPUT_ERROR and out == "" and err.count("\n") == 1
 
+    def test_invalid_json_sequence_names_the_file(self, files):
+        # the sequence file goes through the loader every other document uses
+        bad = files / "sequence.json"
+        bad.write_text("{nope")
+        space, measure = str(files / "line3.json"), str(files / "uniform.json")
+        code, out, err = _run(["lsc", "--space", space, "--measure", measure, "--sequence", str(bad)])
+        assert code == EXIT_INPUT_ERROR and out == "" and err.count("\n") == 1
+        assert err.startswith(f"maxlab: input error: {bad}: invalid JSON: ")
+
     def test_good_documents_pass(self):
         # the fuzz breaks these; unbroken, every subcommand accepts them
         for subcommand in DOCUMENT_ROLES:

@@ -432,7 +432,7 @@ def layout_instances(draw):
 
 
 class TestFamilyLayout:
-    """The family's rows, slots and rank transpose, read as the kernel reads them."""
+    """The family's rows, slots and ranks, read as the kernel reads them."""
 
     @given(layout_instances())
     @example((gen_ultrametric(20, seed=5), DiscreteMeasure((1, 0) * 10)))
@@ -457,7 +457,11 @@ class TestFamilyLayout:
             assert slot == starts[ball.center] + size - 1
         for p in range(n):
             for c in range(n):
-                assert family.rank_of[p][c] == family.rank[c][p]
+                # rank_of[p][c] names the smallest ball around c holding p
+                idx = family.centered_at[c][family.rank_of[p][c]]
+                assert frozenset(family.balls[idx].members) == oracle.ball_members(
+                    space, c, space.dist[c][p]
+                )
         ball_measures = _BallMeasures(family, mu)
         for ball, mass in zip(family.balls, ball_measures.masses):
             assert Fraction(mass, ball_measures.scale) == oracle.mass(mu, ball.members)

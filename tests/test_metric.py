@@ -313,9 +313,9 @@ def _check_family(space):
         # every ball holding x, in family order
         holding = tuple(i for i, b in enumerate(family.balls) if x in b.members)
         assert family.containing[x] == holding
-        # rank[x][p] names the smallest ball around x holding p
+        # rank_of[p][x] names the smallest ball around x holding p
         for p in range(space.n):
-            idx = family.centered_at[x][family.rank[x][p]]
+            idx = family.centered_at[x][family.rank_of[p][x]]
             assert frozenset(family.balls[idx].members) == oracle.ball_members(
                 space, x, space.dist[x][p]
             )

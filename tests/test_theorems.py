@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from corpus import small_catalog, weight_grid
 from maxlab import (
+    Ball,
     DiscreteMeasure,
     HullCertificate,
     SampleFunction,
@@ -150,7 +151,7 @@ class TestCoincidenceExact:
         verdict = coincidence_exact(eq3, uniform3)
         assert verdict.verdict == "equal"
         # every ball of an ultrametric space is centered at each of its points
-        assert all(c.centered_index == c.ball_index for c in verdict.certificates)
+        assert all(c.centered_ball == c.ball for c in verdict.certificates)
         assert verify_hull_certificates(eq3, uniform3, verdict)
 
     def test_single_point_equal(self):
@@ -270,17 +271,16 @@ def _check_decision(space, mu):
     support = frozenset(mu.support)
     dist = space.dist
     if verdict.verdict == "equal":
-        assert verify_hull_certificates(space, mu, verdict, family=family)
+        assert verify_hull_certificates(space, mu, verdict)
         for cert in verdict.certificates:
-            x, j = cert.point, cert.ball_index
-            idx = cert.centered_index
-            if j in family.centered_at[x]:  # a centered ball certifies itself
-                assert idx == j
+            x, ball = cert.point, cert.ball
+            if ball in [family.balls[i] for i in family.centered_at[x]]:
+                assert cert.centered_ball == ball  # a centered ball certifies itself
                 continue
             # otherwise the smallest ball centered at x with the same trace
-            trace = frozenset(family.balls[j].members) & support
+            trace = frozenset(ball.members) & support
             r = min(r for r in dist[x] if oracle.ball_members(space, x, r) & support == trace)
-            assert frozenset(family.balls[idx].members) == oracle.ball_members(space, x, r)
+            assert frozenset(cert.centered_ball.members) == oracle.ball_members(space, x, r)
         return
     witness = verdict.witness
     x, f = witness.point, witness.function
@@ -306,8 +306,9 @@ class TestHullCertificateChecker:
     """verify_hull_certificates must reject every tampered `equal` verdict.
 
     On the line 0, 1, 2 with weights (1, 1, 0) the operators agree. Family
-    indices: 0 = {0}, 1 = {0,1}, 2 = {0,1,2}, 3 = {1}, 4 = {2}, 5 = {1,2};
-    balls 0, 1, 2 are centered at 0 and balls 3, 2 at 1.
+    balls: 0 = {0}, 1 = {0,1}, 2 = {0,1,2}, 3 = {1}, 4 = {2}, 5 = {1,2};
+    balls 0, 1, 2 are centered at 0, and around 1 lie {1} and {0,1,2}, which
+    ball 2 represents from center 0.
     """
 
     @pytest.fixture
@@ -316,8 +317,8 @@ class TestHullCertificateChecker:
         family = enumerate_balls(line3)
         verdict = coincidence_exact(line3, mu, family=family)
         assert verdict.verdict == "equal"
-        assert verify_hull_certificates(line3, mu, verdict, family=family)
-        return line3, mu, family, verdict
+        assert verify_hull_certificates(line3, mu, verdict)
+        return line3, mu, family.balls, verdict
 
     @staticmethod
     def _swap(verdict, old, new):
@@ -326,36 +327,65 @@ class TestHullCertificateChecker:
         return replace(verdict, certificates=tuple(new if c == old else c for c in certs))
 
     def test_rejects_centered_ball_with_another_trace(self, case):
-        space, mu, family, verdict = case
+        space, mu, balls, verdict = case
         # {0} is centered at 0, but its trace {0} is not the trace {0,1} of ball 1
-        bad = self._swap(verdict, HullCertificate(0, 1, 1), HullCertificate(0, 1, 0))
-        assert not verify_hull_certificates(space, mu, bad, family=family)
+        bad = self._swap(
+            verdict, HullCertificate(0, balls[1], balls[1]), HullCertificate(0, balls[1], balls[0])
+        )
+        assert not verify_hull_certificates(space, mu, bad)
 
     def test_rejects_ball_centered_at_another_point(self, case):
-        space, mu, family, verdict = case
-        # {0,1} has the same trace as itself but is centered at 0, not at 1
-        bad = self._swap(verdict, HullCertificate(1, 1, 2), HullCertificate(1, 1, 1))
-        assert not verify_hull_certificates(space, mu, bad, family=family)
+        space, mu, balls, verdict = case
+        # {0,1} has the same trace as itself but is no ball around 1
+        bad = self._swap(
+            verdict, HullCertificate(1, balls[1], balls[2]), HullCertificate(1, balls[1], balls[1])
+        )
+        assert not verify_hull_certificates(space, mu, bad)
+
+    def test_rejects_ball_that_is_not_its_radius(self, case):
+        space, mu, balls, verdict = case
+        # the closed ball (0, 1) is {0,1}: a Ball that names it but holds only {0} is not it
+        fake = Ball(0, Q(1), "closed", balls[0].mask)
+        bad = self._swap(
+            verdict, HullCertificate(0, balls[1], balls[1]), HullCertificate(0, balls[1], fake)
+        )
+        assert not verify_hull_certificates(space, mu, bad)
 
     def test_rejects_dropped_certificate(self, case):
-        space, mu, family, verdict = case
+        space, mu, balls, verdict = case
         for k in range(len(verdict.certificates)):
             certs = verdict.certificates[:k] + verdict.certificates[k + 1 :]
             bad = replace(verdict, certificates=certs)
-            assert not verify_hull_certificates(space, mu, bad, family=family)
+            assert not verify_hull_certificates(space, mu, bad)
 
     def test_rejects_certificate_at_zero_weight_point(self, case):
-        space, mu, family, verdict = case
+        space, mu, balls, verdict = case
         # {2} is centered at 2 and matches its own (empty) trace
-        bad = replace(verdict, certificates=verdict.certificates + (HullCertificate(2, 4, 4),))
-        assert not verify_hull_certificates(space, mu, bad, family=family)
+        extra = HullCertificate(2, balls[4], balls[4])
+        bad = replace(verdict, certificates=verdict.certificates + (extra,))
+        assert not verify_hull_certificates(space, mu, bad)
 
     def test_rejects_distinct_verdict(self, case, uniform3):
-        space, mu, family, verdict = case
+        space, mu, balls, verdict = case
         witness = coincidence_exact(space, uniform3).witness
         bad = replace(verdict, verdict="distinct", witness=witness)
-        assert not verify_hull_certificates(space, mu, bad, family=family)
+        assert not verify_hull_certificates(space, mu, bad)
         assert not verify_hull_certificates(space, uniform3, coincidence_exact(space, uniform3))
+
+    def test_rejects_verdict_of_a_family_missing_balls(self, line3, uniform3):
+        # with {0,1} and {1,2} dropped from `containing`, every ball left
+        # holding a point is centered there, and the fast path answers
+        # `equal` where the operators differ
+        family = enumerate_balls(line3)
+        lost = {i for i, b in enumerate(family.balls) if b.members in ((0, 1), (1, 2))}
+        broken = replace(
+            family,
+            containing=tuple(tuple(i for i in row if i not in lost) for row in family.containing),
+        )
+        verdict = coincidence_exact(line3, uniform3, family=broken)
+        assert verdict.verdict == "equal"
+        assert {c.ball.members for c in verdict.certificates}.isdisjoint({(0, 1), (1, 2)})
+        assert not verify_hull_certificates(line3, uniform3, verdict)
 
 
 class TestBallInfimumDifferential:
