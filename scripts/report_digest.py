@@ -9,8 +9,10 @@ paths and hashes that every report records stay the same. On each input the
 script runs, in-process, `coincide` (exact, and randomized with 0, 6 and 200
 trials), `lemma22`, `lsc` and `maximal`; a benchmark audit input gets
 `lemma22` and `lsc` only. Each distinct space gets `balls` and `witness`, and
-`demo-grid` runs for n = 2 to 12. It prints the sha256 of each report's
-bytes, the exit code and the report's name.
+`demo-grid` runs for n = 2 to 12. Last come the small inputs of MALFORMED,
+written into DIR/malformed on every run; all but the exact JSON literal 0.5
+exit 2. For each run the script prints the sha256 of the report's bytes and of
+the stderr bytes, the exit code and the report's name.
 
 The script loads the `src/`, `bench/` and `tests/` next to it. To show that
 two checkouts write byte-identical reports, put a copy of it in each, run both
@@ -24,10 +26,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 for sub in ("src", "bench", "tests"):
@@ -42,6 +46,42 @@ SEED = 1
 RANDOMIZED_TRIALS = (0, 6, 200)
 GRID_SIZES = range(2, 13)
 LSC_STEPS = 5
+
+
+# The three-point documents that a malformed case does not replace.
+GOOD = {
+    "space": '{"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+    "measure": '{"weights": [1, 1, 1]}',
+    "fn": '{"f": [0, 0, 1]}',
+}
+ROLES = {"validate": ("space",), "lemma22": ("space", "measure"), "maximal": ("space", "measure", "fn")}
+# case -> (subcommand, the role it replaces, file name, file text, MAXLAB_SEED or None)
+MALFORMED = {
+    "true-cell": ("validate", "space", "true.json", '{"dist": [[0, true], [true, 0]]}', None),
+    "list-cell": ("validate", "space", "list.json", '{"dist": [[0, [1]], [[1], 0]]}', None),
+    "string-1/0": ("lemma22", "measure", "div0.json", '{"weights": ["1/0", 1, 1]}', None),
+    "literal-0.5": ("lemma22", "measure", "half.json", '{"weights": [0.5, 1, 1]}', None),
+    "string-1e5000": ("lemma22", "measure", "e5000s.json", '{"weights": ["1e5000", 1, 1]}', None),
+    "literal-1e5000": ("lemma22", "measure", "e5000.json", '{"weights": [1e5000, 1, 1]}', None),
+    "csv-1e5000": ("validate", "space", "e5000.csv", "0,1e5000\n1e5000,0\n", None),
+    "triangle": ("maximal", "space", "triangle.json", '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}', None),
+    "seed-abc": ("validate", "space", "good.json", GOOD["space"], "abc"),
+}
+
+
+def write_malformed(folder: Path) -> list[tuple[str, list[str], str | None]]:
+    """Write the MALFORMED files into folder; return (case, argv, MAXLAB_SEED) per case."""
+    folder.mkdir(parents=True, exist_ok=True)
+    for role, text in GOOD.items():
+        (folder / f"good.{role}.json").write_text(text, encoding="utf-8")
+    cases = []
+    for case, (subcommand, role, name, text, env_seed) in MALFORMED.items():
+        (folder / name).write_text(text, encoding="utf-8")
+        argv = [subcommand]
+        for r in ROLES[subcommand]:
+            argv += [f"--{r}", str(folder / (name if r == role else f"good.{r}.json"))]
+        cases.append((case, argv, env_seed))
+    return cases
 
 
 def write_sequence(path: Path, space_path: Path, measure_path: Path, name: str) -> Path:
@@ -109,11 +149,14 @@ def write_inputs(folder: Path) -> list[tuple[str, Path, Path, Path | None, Path]
     return cases
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def digest(argv: list[str], env_seed: str | None = None) -> str:
+    """The sha256 of a run's report and of its stderr, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    env = {} if env_seed is None else {"MAXLAB_SEED": env_seed}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, env):
         code = maxlab_main(argv)
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+    sha = [hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest() for text in (out, err)]
+    return f"{sha[0]}  {sha[1]}  {code}"
 
 
 def main() -> int:
@@ -141,11 +184,11 @@ def main() -> int:
                 ]
             runs["maximal"] = ["maximal", *common, "--fn", str(fn)]
         for report, argv in runs.items():
-            sha, code = digest(argv)
-            print(f"{sha}  {code}  {name} {report}")
+            print(f"{digest(argv)}  {name} {report}")
     for n in GRID_SIZES:
-        sha, code = digest(["demo-grid", "--n", str(n), "--seed", str(SEED)])
-        print(f"{sha}  {code}  grid[{n}] demo-grid")
+        print(f"{digest(['demo-grid', '--n', str(n), '--seed', str(SEED)])}  grid[{n}] demo-grid")
+    for name, argv, env_seed in write_malformed(args.dir / "malformed"):
+        print(f"{digest(argv, env_seed)}  malformed[{name}] {argv[0]}")
     return 0
 
 

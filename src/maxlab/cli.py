@@ -255,15 +255,6 @@ _HANDLERS = {
 }
 
 
-def _collect_inputs(args: argparse.Namespace) -> tuple[tuple[str, str], ...]:
-    found = []
-    for role in _INPUT_ROLES:
-        path = getattr(args, role, None)
-        if path:
-            found.append((role, path))
-    return tuple(found)
-
-
 def _emit(report: dict, out: str | None) -> None:
     if out:
         mio.write_json(report, out)
@@ -280,15 +271,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        seed = _resolve_seed(args)
-    except mio.InputFormatError as exc:
-        print(f"maxlab: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
     def envelope(result: dict) -> dict:
         inputs = []
-        for role, path in _collect_inputs(args):
+        for role in _INPUT_ROLES:
+            path = getattr(args, role, None)
+            if not path:
+                continue
             entry = {"role": role, "path": path}
             try:
                 entry["sha256"] = mio.file_sha256(path)
@@ -306,16 +295,15 @@ def main(argv: list[str] | None = None) -> int:
     report_out = None if args.subcommand == "gen" else args.out
 
     try:
+        seed = _resolve_seed(args)
         result = _HANDLERS[args.subcommand](args, seed)
     except MathFailure as exc:
         if exc.result is not None:
             _emit(envelope(exc.result), report_out)
         print(f"maxlab: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
-    except MetricAxiomError as exc:
-        print(f"maxlab: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (mio.InputFormatError, FileNotFoundError, IsADirectoryError, ValueError, KeyError) as exc:
+    # InputFormatError and MetricAxiomError are ValueErrors
+    except (FileNotFoundError, IsADirectoryError, ValueError, KeyError) as exc:
         print(f"maxlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

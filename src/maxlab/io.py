@@ -1,8 +1,9 @@
 """File formats and exact scalar serialization.
 
-Wire grammar for scalars: an integer, a finite-decimal string ("1.25"), or a
-"p/q" string. JSON floats are intercepted at parse time and converted from
-their literal decimal text, so no binary rounding ever happens. Emitted
+Wire grammar for scalars: `metric.as_rational`'s, the one grammar of the
+package: an integer, a decimal string ("1.25", "1e-3") or a "p/q" string. JSON
+floats are intercepted at parse time and read from their literal text by the
+same grammar, so no binary rounding ever happens. Emitted
 scalars are canonical "p/q" strings; reports add an auxiliary decimal
 rendering for human eyes only.
 
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .measure import DiscreteMeasure, SampleFunction
-from .metric import Ball, BallFamily, FiniteMetricSpace, _checked_space, _scaled
+from .metric import Ball, BallFamily, FiniteMetricSpace, _checked_space, _scaled, as_rational
 from .maximal import MaximalReport
 from .theorems import (
     BallInfimumReport,
@@ -67,31 +68,13 @@ class InputFormatError(ValueError):
 
 
 def parse_scalar(value: Any) -> Fraction:
-    """Exact scalar from the wire grammar; floats are rejected."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InputFormatError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        try:
-            # ASCII [+-]digits[/digits] skips Fraction's regex; everything else
-            # goes to it, since int() would also take the spaces and signs
-            # around a denominator ("3/ 4", "3/-4") that Fraction rejects
-            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse scalar {value!r}: {exc}") from None
-    if isinstance(value, float):
-        raise InputFormatError(
-            f"refusing float scalar {value!r}; use an integer, a decimal string, or p/q"
-        )
-    raise InputFormatError(f"not a scalar: {value!r}")
+    """metric.as_rational, the one scalar grammar, with its errors as InputFormatError."""
+    try:
+        return as_rational(value)
+    except TypeError as exc:
+        raise InputFormatError(str(exc)) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"cannot parse scalar {value!r}: {exc}") from None
 
 
 def scalar_str(q: Fraction) -> str:
@@ -112,10 +95,10 @@ def scalar_json(q: Fraction) -> dict[str, str]:
 
 
 class _Literals(dict):
-    """Literal text -> Fraction, converting each distinct literal once."""
+    """Literal text -> Fraction, parsing each distinct literal once."""
 
     def __missing__(self, text: str) -> Fraction:
-        q = self[text] = Fraction(text)
+        q = self[text] = parse_scalar(text)
         return q
 
 
@@ -205,7 +188,7 @@ def load_function(path: str | Path, n: int | None = None) -> SampleFunction:
 
 def _point_index(space: FiniteMetricSpace, raw: str) -> int:
     if raw in space.labels:
-        return space.index_of(raw)
+        return space.labels.index(raw)
     try:
         idx = int(raw)
     except ValueError:

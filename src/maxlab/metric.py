@@ -4,9 +4,10 @@ Metric-axiom validation, ultrametric detection with a normalized violating
 triple, closed/open ball computation, deduplicated enumeration of every
 closed ball of a space, and midpoint-configuration search.
 
-Every public scalar is a `fractions.Fraction`; floats and bools are rejected,
-so ball membership ties are decided exactly. Validation and every scan compare
-an integer copy of the distance matrix, scaled by the lcm of its denominators:
+Every public scalar is a `fractions.Fraction`, read by `as_rational` (the one
+grammar, files included), which rejects floats and bools, so ball membership
+ties are decided exactly. Validation and every scan compare an integer copy
+of the distance matrix, scaled by the lcm of its denominators:
 `FiniteMetricSpace.int_dist`, computed once per space and kept with it (a
 space loaded from a file gets it from the loader).
 
@@ -24,6 +25,7 @@ mask: the sorted member tuple is derived only when read.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,16 +57,38 @@ __all__ = [
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, exact strings ("3", "1.25", "3/4") and Fractions; reject floats and bools."""
+    """The package's one scalar grammar: an int, a Fraction, or a string Fraction reads.
+
+    A decimal string whose unreduced numerator or denominator could pass int()'s
+    digit limit (mantissa digits plus |exponent|, `_` dropped) raises ValueError
+    before any value is built; the limit is sys.get_int_max_str_digits(), or
+    4300 where that is 0 or missing. A float, a bool or any other non-scalar
+    raises TypeError naming the value and its type.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(
-        f"expected an exact scalar (int, Fraction, or exact string), got {type(value).__name__}"
-    )
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        # ASCII [+-]digits[/digits] skips Fraction's regex (int() alone takes "3/ 4")
+        if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if not slash:  # int() bounds both sides of a p/q itself
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            mantissa, _, exponent = text.replace("_", "").upper().partition("E")
+            try:
+                shift = abs(int(exponent or 0)) if len(exponent) <= limit else limit + 1
+            except ValueError:  # no exponent Fraction reads; it rejects the text
+                shift = 0
+            if sum(map(str.isdigit, mantissa)) + shift > limit:
+                raise ValueError(f"more than {limit} digits in its numerator or denominator")
+        return Fraction(text)
+    if isinstance(value, float):
+        raise TypeError(f"refusing float scalar {value!r}; use an integer, a decimal string, or p/q")
+    raise TypeError(f"not a scalar: {value!r} ({type(value).__name__})")
 
 
 @dataclass(frozen=True)
@@ -105,15 +129,6 @@ class FiniteMetricSpace:
         later scan of the space share one copy.
         """
         return _integer_matrix(self.dist)
-
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no point labeled {label!r}") from None
 
     def restrict(self, points: Sequence[int]) -> "FiniteMetricSpace":
         """Submetric on the given point indices, order preserved, labels carried."""
@@ -214,11 +229,12 @@ def _integer_matrix(dist: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...]
 
 
 def _packed_lines(
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: tuple[tuple[int, ...], ...], symmetric: bool
 ) -> tuple[list[int], list[int], int, int, int]:
     """Every row and every column of an integer matrix packed into one int each.
 
-    Returns (rows, columns, offset, guards, ones). Entry j of a line, plus
+    A `symmetric` matrix's packed rows serve as its columns. Returns
+    (rows, columns, offset, guards, ones). Entry j of a line, plus
     `offset` = -min(0, min entry), fills byte field j of its int (field 0 lowest).
     `ones` has the lowest bit of every field set and `guards` the top bit. The
     fields are wide enough that neither a shifted entry, nor a sum of two, nor
@@ -246,11 +262,9 @@ def _packed_lines(
 
     lines = tuple(tuple(v + offset for v in row) for row in matrix) if offset else matrix
     rows = [pack(row) for row in lines]
-    columns = tuple(zip(*lines))
-    # a symmetric matrix's columns are its rows
-    packed_columns = rows if columns == lines else [pack(col) for col in columns]
+    columns = rows if symmetric else [pack(col) for col in zip(*lines)]
     ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
-    return rows, packed_columns, offset, ones << (8 * width - 1), ones
+    return rows, columns, offset, ones << (8 * width - 1), ones
 
 
 def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViolation]:
@@ -277,7 +291,8 @@ def _violations(
     # every pair i < j is symmetric and positive iff the matrix equals its
     # transpose and each row's smallest entry right of the diagonal is positive;
     # only a matrix that fails either runs the loop that lists the violations
-    if scaled != tuple(zip(*scaled)) or any(
+    symmetric = scaled == tuple(zip(*scaled))
+    if not symmetric or any(
         min(row[i + 1 :], default=1) <= 0 for i, row in enumerate(scaled)
     ):
         for i, j in combinations(range(n), 2):
@@ -291,7 +306,7 @@ def _violations(
                 out.append(
                     MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
                 )
-    rows, columns, offset, guards, ones = _packed_lines(scaled)
+    rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
     for i, row in enumerate(scaled):
         packed = rows[i]
         for k in range(i + 1, n):
@@ -386,7 +401,7 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
     """
     n = space.n
     scaled = space.int_dist
-    rows, columns, offset, guards, ones = _packed_lines(scaled)
+    rows, columns, offset, guards, ones = _packed_lines(scaled, scaled == tuple(zip(*scaled)))
     columns = [col | guards for col in columns]
     for a, row in enumerate(scaled):
         packed = rows[a] | guards

@@ -482,7 +482,6 @@ def check_lower_semicontinuity(
     nu_limit: DiscreteMeasure,
     x: int,
     deviation_bound: int | str | Fraction,
-    family: BallFamily | None = None,
 ) -> LowerSemicontinuityReport:
     """Track both measure-maximal values at x along nu_sequence -> nu_limit.
 
@@ -497,8 +496,6 @@ def check_lower_semicontinuity(
     """
     if not nu_sequence:
         raise ValueError("empty measure sequence")
-    if family is None:
-        family = enumerate_balls(space)
     bound = as_rational(deviation_bound)
     for nu in (*nu_sequence, nu_limit):
         if nu.n != mu.n:
@@ -512,7 +509,7 @@ def check_lower_semicontinuity(
         raise ValueError(
             f"last element deviates by {deviations[-1]}, above the allowed {bound}"
         )
-    ball_measures = _BallMeasures(family, mu)
+    ball_measures = _BallMeasures(enumerate_balls(space), mu)
     values = [ball_measures.at(nu, x) for nu in nu_sequence]
     c_values = tuple(c.value for c, _ in values)
     nc_values = tuple(nc.value for _, nc in values)
@@ -687,7 +684,6 @@ def check_bump_bound(
     x: int,
     y: int,
     deltas: Sequence[int | str | Fraction],
-    family: BallFamily | None = None,
 ) -> BumpRefinementReport:
     """Centered maximal of each bump at y against the bound 1/measure(B(y, d(x,y))).
 
@@ -703,12 +699,10 @@ def check_bump_bound(
         raise ValueError("both points must be in the support")
     if not deltas:
         raise ValueError("need at least one delta")
-    if family is None:
-        family = enumerate_balls(space)
     bound = 1 / measure_of(mu, closed_ball(space, y, space.dist[x][y]))
     threshold = min(space.dist[x][p] for p in range(space.n) if p != x)
     point_mass = normalized_indicator(space, (x,), mu)
-    ball_measures = _BallMeasures(family, mu)
+    ball_measures = _BallMeasures(enumerate_balls(space), mu)
     checks = []
     for raw in deltas:
         r = as_rational(raw)

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxlab import (
@@ -51,8 +53,10 @@ class TestScalars:
         assert mio.parse_scalar("-7") == -7
 
     def test_rejects_floats_and_junk(self):
-        with pytest.raises(mio.InputFormatError):
+        with pytest.raises(mio.InputFormatError, match="refusing float scalar 0.5"):
             mio.parse_scalar(0.5)
+        with pytest.raises(mio.InputFormatError, match=r"not a scalar: \[1\] \(list\)"):
+            mio.parse_scalar([1])
         with pytest.raises(mio.InputFormatError):
             mio.parse_scalar("1/0")
         with pytest.raises(mio.InputFormatError):
@@ -62,6 +66,8 @@ class TestScalars:
 
     # Fraction's own grammar is the reference for every string: the ASCII
     # [+-]digits[/digits] fast path must accept and reject exactly as it does.
+    # A decimal past int()'s digit limit is rejected, and Fraction, which would
+    # build a value of up to a million digits for 8 characters, is not asked.
     @given(
         st.one_of(
             st.text(alphabet="0123456789+-/ _.eE\t\u0663", max_size=8),
@@ -69,8 +75,16 @@ class TestScalars:
             st.integers(-(10**30), 10**30).map(str),
         )
     )
+    @example("4E636509")
+    @example(" 1_0e4_300")
+    @example("1.5e-4299")
+    @example("1e4299")
     @settings(max_examples=500)
     def test_parse_matches_fraction(self, text):
+        if _past_digit_limit(text):
+            with pytest.raises(mio.InputFormatError, match="digits"):
+                mio.parse_scalar(text)
+            return
         try:
             expected = Fraction(text.strip())
         except (ValueError, ZeroDivisionError):
@@ -94,6 +108,15 @@ class TestScalars:
         else:
             assert code == EXIT_OK
             assert mio.parse_scalar(text) == expected
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _past_digit_limit(text):
+    """Whether text is a decimal whose unreduced numerator or denominator passes int()'s limit."""
+    m = re.fullmatch(r"[+-]?(\d*)(?:\.(\d*))?[eE]([+-]?\d+)", text.strip().replace("_", ""))
+    return m is not None and len(m[1]) + len(m[2] or "") + abs(int(m[3])) > DIGIT_LIMIT
 
 
 class TestRoundTrips:
@@ -170,6 +193,30 @@ class TestMemoizedCells:
         path.write_text(json.dumps({"dist": [[0, 1, 1], [True, 0, 1], [1, 1, 0]]}))
         code, _, err = _run(["validate", "--space", str(path)])
         assert code == EXIT_INPUT_ERROR and "True" in err
+
+
+class TestDigitLimit:
+    """A cell past int()'s digit limit exits 2 at parse time, named, through every entry."""
+
+    def test_csv_space_cell(self, tmp_path):
+        path = tmp_path / "space.csv"
+        path.write_text("0,1e5000\n1e5000,0\n")
+        code, out, err = _run(["validate", "--space", str(path)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == (
+            "maxlab: input error: cannot parse scalar '1e5000':"
+            f" more than {DIGIT_LIMIT} digits in its numerator or denominator\n"
+        )
+
+    # a JSON string, and a JSON number literal, whose text the grammar reads
+    @pytest.mark.parametrize("token", ['"1e5000"', "1e5000"], ids=["string", "number"])
+    def test_weight(self, files, tmp_path, token):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"weights": [{token}, 1, 1]}}')
+        code, out, err = _run(["lemma22", "--space", str(files / "line3.json"), "--measure", str(path)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"maxlab: input error: cannot parse scalar '1e5000': more than {DIGIT_LIMIT}")
 
 
 def _forms(q):
@@ -315,6 +362,23 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["valid"] is False
         assert any(v["axiom"] == "triangle" for v in report["result"]["violations"])
+
+    def test_env_seed_not_an_integer_exits_2(self, files, monkeypatch):
+        monkeypatch.setenv("MAXLAB_SEED", "abc")
+        code, out, err = _run(["validate", "--space", str(files / "line3.json")])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == "maxlab: input error: MAXLAB_SEED='abc' is not an integer\n"
+
+    def test_axiom_violation_outside_validate_exits_2(self, files, tmp_path):
+        # only `validate` reports violations (exit 1); to the others the file is bad input
+        bad = tmp_path / "bad.json"
+        mio.write_json({"labels": ["a", "b", "c"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}, bad)
+        code, out, err = _run(
+            ["maximal", "--space", str(bad), "--measure", str(files / "uniform.json"), "--fn", str(files / "ind2.json")]
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("maxlab: input error: 1 metric axiom violation(s): dist[0][2] = 5 > ")
 
     def test_garbage_exits_2(self, tmp_path):
         bad = tmp_path / "junk.json"
@@ -481,6 +545,23 @@ class TestSubcommands:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["tail_inequality_holds"] is True
         assert result["noncentered_values"] == ["1/2", "3/4", "9/10"]
+
+    @pytest.mark.parametrize(
+        "point, code, label",
+        [(1, EXIT_OK, "b"), ("2", EXIT_OK, "c"), (3, EXIT_INPUT_ERROR, None), (-1, EXIT_INPUT_ERROR, None)],
+    )
+    def test_lsc_point_as_index(self, files, tmp_path, point, code, label):
+        # the points are labeled a, b, c, so a number is read as an index
+        seq = {"sequence": [[1, 1, 1]], "limit": [1, 1, 1], "point": point, "deviation_bound": 0}
+        path = tmp_path / "seq.json"
+        mio.write_json(seq, path)
+        argv = ["lsc", "--space", str(files / "eq3.json"), "--measure", str(files / "uniform.json")]
+        got, out, err = _run(argv + ["--sequence", str(path)])
+        assert got == code
+        if label is None:
+            assert out == "" and err == f"maxlab: input error: point index {point} out of range\n"
+        else:
+            assert json.loads(out)["result"]["point"] == label
 
     @pytest.mark.parametrize(
         "sequence",

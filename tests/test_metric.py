@@ -9,6 +9,7 @@ from maxlab import (
     Ball,
     FiniteMetricSpace,
     MetricAxiomError,
+    as_rational,
     closed_ball,
     enumerate_balls,
     find_midpoint_configs,
@@ -186,6 +187,15 @@ class TestValidate:
             validate_space([[False, True], [True, False]])
         with pytest.raises(TypeError, match="bool"):
             line_space([0, True])
+
+    def test_decimal_past_the_digit_limit_rejected(self):
+        # 1e5000 would build a 5,001-digit numerator, and 1e-5000 a denominator as long
+        for text in ("1e5000", "1e-5000", "1_0e4_300", "0." + "1" * 4301):
+            with pytest.raises(ValueError, match="digits"):
+                as_rational(text)
+        assert as_rational("1e4299") == 10**4299  # 4,300 digits: at the limit
+        with pytest.raises(ValueError, match="digits"):
+            validate_space([[0, "1e5000"], ["1e5000", 0]])
 
     def test_restrict(self, line3):
         sub = line3.restrict([0, 2])

@@ -12,6 +12,7 @@ from maxlab import (
     DiscreteMeasure,
     HullCertificate,
     SampleFunction,
+    Witness,
     build_grid_demo,
     bump_function,
     check_ball_infimum,
@@ -108,6 +109,39 @@ class TestWitness:
         sw = construct_witness(sub, sub_triple)
         assert sw.noncentered_value == Q(1, 2)
         assert sw.centered_value == Q(1, 3)
+
+
+class TestWitnessChecker:
+    """verify_witness must reject every tampered witness.
+
+    On the line 0, 1, 2 with the uniform measure, the indicator of 2 at
+    point 1 has centered value 1/3 and non-centered value 1/2.
+    """
+
+    @pytest.fixture
+    def witness(self, line3):
+        w = construct_witness(line3, (1, 2, 0))
+        assert verify_witness(line3, w)
+        return w
+
+    def test_rejects_raised_centered_value(self, line3, witness):
+        bad = replace(witness, centered_value=witness.centered_value + Q(1, 1000))
+        assert not verify_witness(line3, bad)
+
+    def test_rejects_lowered_noncentered_value(self, line3, witness):
+        bad = replace(witness, noncentered_value=witness.noncentered_value - Q(1, 1000))
+        assert bad.noncentered_value > bad.centered_value
+        assert not verify_witness(line3, bad)
+
+    def test_rejects_point_outside_the_support(self, line3):
+        # with weights (1, 0, 1), the balls through 1 give centered 1/2 and
+        # non-centered 1: stored values that re-evaluate, at a weightless point
+        w = Witness(DiscreteMeasure((1, 0, 1)), SampleFunction((0, 0, 1)), 1, Q(1, 2), Q(1))
+        assert not verify_witness(line3, w)
+        assert not verify_witness(line3, replace(w, point=3))
+
+    def test_rejects_space_of_another_point_count(self, witness):
+        assert not verify_witness(line_space([0, 1, 2, 3]), witness)
 
 
 class TestCoincidenceRandomized:
