@@ -9,10 +9,11 @@ paths and hashes that every report records stay the same. On each input the
 script runs, in-process, `coincide` (exact, and randomized with 0, 6 and 200
 trials), `lemma22`, `lsc` and `maximal`; a benchmark audit input gets
 `lemma22` and `lsc` only. Each distinct space gets `balls` and `witness`, and
-`demo-grid` runs for n = 2 to 12. Last come the small inputs of MALFORMED,
-written into DIR/malformed on every run; all but the exact JSON literal 0.5
-exit 2. For each run the script prints the sha256 of the report's bytes and of
-the stderr bytes, the exit code and the report's name.
+`demo-grid` runs for n = 2 to 12. Last come the inputs of MALFORMED, written
+into DIR/malformed on every run. All exit 2 but two: the exact JSON literal
+0.5 is read, and the squared-distance grid fails `validate` (exit 1) with a cut
+violation list. For each run the script prints the sha256 of the report's
+bytes and of the stderr bytes, the exit code and the report's name.
 
 The script loads the `src/`, `bench/` and `tests/` next to it. To show that
 two checkouts write byte-identical reports, put a copy of it in each, run both
@@ -55,6 +56,8 @@ GOOD = {
     "fn": '{"f": [0, 0, 1]}',
 }
 ROLES = {"validate": ("space",), "lemma22": ("space", "measure"), "maximal": ("space", "measure", "fn")}
+# 13 x 13 grid points with squared distances: 544,188 triangle violations
+SQUARED_GRID = [(i, j) for i in range(13) for j in range(13)]
 # case -> (subcommand, the role it replaces, file name, file text, MAXLAB_SEED or None)
 MALFORMED = {
     "true-cell": ("validate", "space", "true.json", '{"dist": [[0, true], [true, 0]]}', None),
@@ -66,6 +69,15 @@ MALFORMED = {
     "csv-1e5000": ("validate", "space", "e5000.csv", "0,1e5000\n1e5000,0\n", None),
     "triangle": ("maximal", "space", "triangle.json", '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}', None),
     "seed-abc": ("validate", "space", "good.json", GOOD["space"], "abc"),
+    "scaled-1e4000": ("lemma22", "measure", "e4000.json", '{"weights": ["1e4000", "1e-4000", 1]}', None),
+    "scaled-1e4000-fn": ("maximal", "fn", "e4000fn.json", '{"f": ["1e4000", "1e-4000", 1]}', None),
+    "squared-grid": (
+        "validate",
+        "space",
+        "squared.json",
+        json.dumps({"dist": [[(a - c) ** 2 + (b - d) ** 2 for c, d in SQUARED_GRID] for a, b in SQUARED_GRID]}),
+        None,
+    ),
 }
 
 

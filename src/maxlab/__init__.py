@@ -1,7 +1,6 @@
 """Exact-arithmetic centered vs non-centered maximal averages on finite metric spaces."""
 
 from .metric import (
-    Rational,
     as_rational,
     MetricViolation,
     MetricAxiomError,
@@ -15,7 +14,6 @@ from .metric import (
     is_ultrametric,
     ultrametric_violation,
     closed_ball,
-    open_ball,
     enumerate_balls,
     find_midpoint_configs,
 )
@@ -55,8 +53,6 @@ from .theorems import (
     check_ball_infimum,
     check_lower_semicontinuity,
     build_grid_demo,
-    bump_function,
-    check_bump_bound,
 )
 from . import simplex  # no decision uses the LP; bench/spans.py still traces it by name
 from .generators import (

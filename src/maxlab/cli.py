@@ -73,6 +73,8 @@ def _cmd_validate(args, seed: int) -> dict:
                 for v in exc.violations
             ],
         }
+        if exc.truncated:
+            result["truncated"] = True
         raise MathFailure("metric axioms violated", result)
     return {"valid": True, "points": space.n, "labels": list(space.labels)}
 

@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Any
 
 from .measure import DiscreteMeasure, SampleFunction
-from .metric import Ball, BallFamily, FiniteMetricSpace, _checked_space, _scaled, as_rational
+from .metric import Ball, BallFamily, FiniteMetricSpace, as_rational
+from .metric import _checked_space, _digit_limit, _scaled
 from .maximal import MaximalReport
 from .theorems import (
     BallInfimumReport,
@@ -130,11 +131,6 @@ def _scalar_table(cells: list[Any]) -> dict[Any, Fraction]:
     return table
 
 
-def _scalars(cells: list[Any]) -> tuple[Fraction, ...]:
-    table = _scalar_table(cells)
-    return tuple(map(table.__getitem__, cells))
-
-
 def load_space(path: str | Path) -> FiniteMetricSpace:
     """Space from a JSON file ({"labels","dist"}) or a CSV distance matrix."""
     p = Path(path)
@@ -165,6 +161,24 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
     )
 
 
+def _bounded(path: Path, key: str, cells: list[Any]) -> tuple[Fraction, ...]:
+    """The scalars of a vector file's list, unless their scaled sums could pass the digit limit.
+
+    The operators sum the values times the lcm of their denominators, one per point. If
+    that lcm or the largest scaled magnitude, times the point count, reaches 10**`_digit_limit()`,
+    an InputFormatError names the file and key. Products across two passing files are out of scope.
+    """
+    table = _scalar_table(cells)
+    values = tuple(map(table.__getitem__, cells))
+    ints, scale = _scaled(values)
+    limit = _digit_limit()
+    bound = max([scale, *map(abs, ints)]) * len(values)
+    # 2**(3 limit) < 10**limit, so only a bound past 3 limit bits builds the power
+    if bound.bit_length() > 3 * limit and bound >= 10**limit:
+        raise InputFormatError(f"{path}: {key!r} passes {limit} digits over its common denominator")
+    return values
+
+
 def _load_vector(path: str | Path, key: str, n: int | None) -> tuple[Fraction, ...]:
     p = Path(path)
     data = _load_json(p)
@@ -172,7 +186,7 @@ def _load_vector(path: str | Path, key: str, n: int | None) -> tuple[Fraction, .
         raise InputFormatError(f"{p}: expected an object with a {key!r} array")
     if not isinstance(data[key], list):
         raise InputFormatError(f"{p}: {key!r} must be a list")
-    values = _scalars(data[key])
+    values = _bounded(p, key, data[key])
     if n is not None and len(values) != n:
         raise InputFormatError(f"{p}: {key!r} has {len(values)} entries, expected {n}")
     return values
@@ -210,8 +224,8 @@ def load_sequence(
     if not isinstance(limit, list):
         raise InputFormatError(f"{p}: 'limit' must be a list")
     try:
-        sequence = [DiscreteMeasure(_scalars(row)) for row in rows]
-        nu_limit = DiscreteMeasure(_scalars(limit))
+        sequence = [DiscreteMeasure(_bounded(p, "sequence", row)) for row in rows]
+        nu_limit = DiscreteMeasure(_bounded(p, "limit", limit))
         point = _point_index(space, str(data["point"]))
         bound = parse_scalar(data["deviation_bound"])
     except KeyError as exc:
@@ -238,7 +252,7 @@ def _ball_json(ball: Ball, space: FiniteMetricSpace) -> dict:
     return {
         "center": space.labels[ball.center],
         "radius": scalar_str(ball.radius),
-        "kind": ball.kind,
+        "kind": "closed",
         "members": [space.labels[p] for p in ball.members],
     }
 

@@ -1,8 +1,8 @@
 """Finite metric spaces over exact rationals.
 
 Metric-axiom validation, ultrametric detection with a normalized violating
-triple, closed/open ball computation, deduplicated enumeration of every
-closed ball of a space, and midpoint-configuration search.
+triple, closed balls and the deduplicated enumeration of every closed ball
+of a space, and midpoint-configuration search.
 
 Every public scalar is a `fractions.Fraction`, read by `as_rational` (the one
 grammar, files included), which rejects floats and bools, so ball membership
@@ -29,14 +29,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, islice
 from math import lcm
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Iterator, Sequence
 
 __all__ = [
-    "Rational",
     "as_rational",
     "MetricViolation",
     "MetricAxiomError",
@@ -50,10 +47,17 @@ __all__ = [
     "is_ultrametric",
     "ultrametric_violation",
     "closed_ball",
-    "open_ball",
     "enumerate_balls",
     "find_midpoint_configs",
 ]
+
+# validation lists at most this many violations of a matrix, and says when it stops
+MAX_VIOLATIONS = 1000
+
+
+def _digit_limit() -> int:
+    """int()'s digit limit, sys.get_int_max_str_digits(), or 4300 where that is 0 or missing."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -61,9 +65,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
     A decimal string whose unreduced numerator or denominator could pass int()'s
     digit limit (mantissa digits plus |exponent|, `_` dropped) raises ValueError
-    before any value is built; the limit is sys.get_int_max_str_digits(), or
-    4300 where that is 0 or missing. A float, a bool or any other non-scalar
-    raises TypeError naming the value and its type.
+    before any value is built; the limit is `_digit_limit()`. A float, a bool
+    or any other non-scalar raises TypeError naming the value and its type.
     """
     if isinstance(value, Fraction):
         return value
@@ -77,7 +80,7 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         if not slash:  # int() bounds both sides of a p/q itself
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            limit = _digit_limit()
             mantissa, _, exponent = text.replace("_", "").upper().partition("E")
             try:
                 shift = abs(int(exponent or 0)) if len(exponent) <= limit else limit + 1
@@ -101,13 +104,15 @@ class MetricViolation:
 
 
 class MetricAxiomError(ValueError):
-    """Raised by validate_space; carries the full violation list."""
+    """Raised by validate_space; carries the violation list, `truncated` if it was cut."""
 
-    def __init__(self, violations: Sequence[MetricViolation]):
+    def __init__(self, violations: Sequence[MetricViolation], truncated: bool = False):
         self.violations = tuple(violations)
+        self.truncated = truncated
         shown = "; ".join(v.detail for v in self.violations[:8])
         extra = "" if len(self.violations) <= 8 else f" (+{len(self.violations) - 8} more)"
-        super().__init__(f"{len(self.violations)} metric axiom violation(s): {shown}{extra}")
+        total = f"at least {len(self.violations)}" if truncated else len(self.violations)
+        super().__init__(f"{total} metric axiom violation(s): {shown}{extra}")
 
 
 @dataclass(frozen=True)
@@ -152,15 +157,14 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Ball:
-    """A metric ball resolved to its member point set, bit p of `mask` for point p.
+    """A closed metric ball resolved to its member point set, bit p of `mask` for point p.
 
-    `members`, the sorted member indices, is derived from the mask on first
-    read and kept.
+    `mask` holds the points at distance <= radius from the center. `members`,
+    the sorted member indices, is derived from the mask on first read and kept.
     """
 
     center: int
     radius: Fraction
-    kind: str  # "closed" or "open"
     mask: int
 
     @cached_property
@@ -268,14 +272,16 @@ def _packed_lines(
 
 
 def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViolation]:
-    """Every violated metric axiom of a square matrix, with indices."""
-    return _violations(dist, _integer_matrix(dist))
+    """The violated metric axioms of a square matrix, with indices, the first MAX_VIOLATIONS."""
+    return list(islice(_violations(dist, _integer_matrix(dist)), MAX_VIOLATIONS))
 
 
 def _violations(
     dist: tuple[tuple[Fraction, ...], ...], scaled: tuple[tuple[int, ...], ...]
-) -> list[MetricViolation]:
-    """metric_violations, given the matrix's integer copy `scaled`.
+) -> Iterator[MetricViolation]:
+    """Every violation of the matrix, in metric_violations' order, given its integer copy `scaled`.
+
+    A generator: a caller that stops taking violations stops the scan.
 
     The triangle check tests each pair (i, k) with i < k word-parallel first:
     with D the integer copy, every guard bit of
@@ -284,10 +290,9 @@ def _violations(
     the exact scan over j.
     """
     n = len(dist)
-    out: list[MetricViolation] = []
     for i in range(n):
         if scaled[i][i] != 0:
-            out.append(MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {dist[i][i]} != 0"))
+            yield MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {dist[i][i]} != 0")
     # every pair i < j is symmetric and positive iff the matrix equals its
     # transpose and each row's smallest entry right of the diagonal is positive;
     # only a matrix that fails either runs the loop that lists the violations
@@ -297,15 +302,11 @@ def _violations(
     ):
         for i, j in combinations(range(n), 2):
             if scaled[i][j] != scaled[j][i]:
-                out.append(
-                    MetricViolation(
-                        "symmetry", (i, j), f"dist[{i}][{j}] = {dist[i][j]} != {dist[j][i]} = dist[{j}][{i}]"
-                    )
+                yield MetricViolation(
+                    "symmetry", (i, j), f"dist[{i}][{j}] = {dist[i][j]} != {dist[j][i]} = dist[{j}][{i}]"
                 )
             if scaled[i][j] <= 0:
-                out.append(
-                    MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
-                )
+                yield MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
     rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
     for i, row in enumerate(scaled):
         packed = rows[i]
@@ -319,15 +320,12 @@ def _violations(
                 if j == i or j == k:
                     continue
                 if row[k] > row[j] + scaled[j][k]:
-                    out.append(
-                        MetricViolation(
-                            "triangle",
-                            (i, j, k),
-                            f"dist[{i}][{k}] = {dist[i][k]} > {dist[i][j]} + {dist[j][k]}"
-                            f" = dist[{i}][{j}] + dist[{j}][{k}]",
-                        )
+                    yield MetricViolation(
+                        "triangle",
+                        (i, j, k),
+                        f"dist[{i}][{k}] = {dist[i][k]} > {dist[i][j]} + {dist[j][k]}"
+                        f" = dist[{i}][{j}] + dist[{j}][{k}]",
                     )
-    return out
 
 
 def validate_space(
@@ -336,7 +334,8 @@ def validate_space(
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
     Shape problems (non-square matrix, label mismatch, duplicate labels) raise
-    ValueError; axiom violations raise MetricAxiomError carrying every violation.
+    ValueError; axiom violations raise MetricAxiomError carrying the first
+    MAX_VIOLATIONS of them, `truncated` if there are more.
     """
     return _checked_space(tuple(tuple(as_rational(v) for v in row) for row in dist), labels)
 
@@ -365,9 +364,9 @@ def _checked_space(
     if int_dist is not None:
         # a frozen dataclass: fill the cached_property's slot directly
         object.__setattr__(space, "int_dist", int_dist)
-    violations = _violations(matrix, space.int_dist)
+    violations = list(islice(_violations(matrix, space.int_dist), MAX_VIOLATIONS + 1))
     if violations:
-        raise MetricAxiomError(violations)
+        raise MetricAxiomError(violations[:MAX_VIOLATIONS], len(violations) > MAX_VIOLATIONS)
     return space
 
 
@@ -430,16 +429,7 @@ def closed_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fract
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     mask = sum(1 << p for p, d in enumerate(space.dist[center]) if d <= r)
-    return Ball(center=center, radius=r, kind="closed", mask=mask)
-
-
-def open_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fraction) -> Ball:
-    """Points at distance < radius from the center."""
-    r = as_rational(radius)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    mask = sum(1 << p for p, d in enumerate(space.dist[center]) if d < r)
-    return Ball(center=center, radius=r, kind="open", mask=mask)
+    return Ball(center=center, radius=r, mask=mask)
 
 
 def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
@@ -496,7 +486,7 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     # scan (built during it, they left the family's queries measurably slower),
     # eagerly, and by position, which a frozen dataclass takes faster than keywords.
     balls = tuple(
-        Ball(c, dist[c][order[k]], "closed", mask)
+        Ball(c, dist[c][order[k]], mask)
         for (c, order, k), mask in zip(found, index_by_mask)
     )
     del index_by_mask

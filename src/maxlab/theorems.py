@@ -40,7 +40,6 @@ from .metric import (
     enumerate_balls,
     find_midpoint_configs,
     line_space,
-    open_ball,
 )
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "BallInfimumReport",
     "LowerSemicontinuityReport",
     "GridDemoReport",
-    "BumpCheck",
-    "BumpRefinementReport",
     "construct_witness",
     "coincidence_randomized",
     "coincidence_exact",
@@ -61,8 +58,6 @@ __all__ = [
     "check_ball_infimum",
     "check_lower_semicontinuity",
     "build_grid_demo",
-    "bump_function",
-    "check_bump_bound",
 ]
 
 _ZERO = Fraction(0)
@@ -631,91 +626,3 @@ def build_grid_demo(n: int) -> GridDemoReport:
         note=GRID_DEMO_NOTE,
     )
 
-
-def bump_function(
-    space: FiniteMetricSpace,
-    mu: DiscreteMeasure,
-    x: int,
-    y: int,
-    delta: int | str | Fraction,
-) -> SampleFunction:
-    """Unit-mass indicator of the open delta-ball at x minus the open d(x,y)-ball at y.
-
-    The set always contains x, so it has positive measure whenever x is a
-    support point. For delta at most the distance from x to its nearest other
-    point, the set collapses to {x} and the function equals the unit-mass
-    indicator of {x}.
-    """
-    if x == y:
-        raise ValueError("x and y must differ")
-    r = as_rational(delta)
-    if r <= 0:
-        raise ValueError("delta must be positive")
-    inner = set(open_ball(space, x, r).members)
-    removed = set(open_ball(space, y, space.dist[x][y]).members)
-    support_set = sorted(inner - removed)
-    return normalized_indicator(space, support_set, mu)
-
-
-@dataclass(frozen=True)
-class BumpCheck:
-    delta: Fraction
-    centered_value_at_y: Fraction
-    bound_holds: bool
-    is_point_mass: bool  # function equals the unit-mass indicator of {x}
-
-
-@dataclass(frozen=True)
-class BumpRefinementReport:
-    x: int
-    y: int
-    bound: Fraction  # 1 / measure of B(y, d(x,y))
-    point_mass_threshold: Fraction  # delta at or below this collapses the bump to {x}
-    checks: tuple[BumpCheck, ...]
-
-    @property
-    def all_bounds_hold(self) -> bool:
-        return all(c.bound_holds for c in self.checks)
-
-
-def check_bump_bound(
-    space: FiniteMetricSpace,
-    mu: DiscreteMeasure,
-    x: int,
-    y: int,
-    deltas: Sequence[int | str | Fraction],
-) -> BumpRefinementReport:
-    """Centered maximal of each bump at y against the bound 1/measure(B(y, d(x,y))).
-
-    Any ball around y that meets the bump's support has radius at least
-    d(x,y), so its measure dominates measure(B(y, d(x,y))) while the bump
-    integrates to at most 1; the bound therefore holds for every delta, and
-    in particular survives the shrinking limit where the bump becomes the
-    unit point mass at x.
-    """
-    if x == y:
-        raise ValueError("x and y must differ")
-    if mu.weights[x] == 0 or mu.weights[y] == 0:
-        raise ValueError("both points must be in the support")
-    if not deltas:
-        raise ValueError("need at least one delta")
-    bound = 1 / measure_of(mu, closed_ball(space, y, space.dist[x][y]))
-    threshold = min(space.dist[x][p] for p in range(space.n) if p != x)
-    point_mass = normalized_indicator(space, (x,), mu)
-    ball_measures = _BallMeasures(enumerate_balls(space), mu)
-    checks = []
-    for raw in deltas:
-        r = as_rational(raw)
-        f = bump_function(space, mu, x, y, r)
-        value = ball_measures.at(f, y)[0].value
-        checks.append(
-            BumpCheck(
-                delta=r,
-                centered_value_at_y=value,
-                bound_holds=value <= bound,
-                is_point_mass=f == point_mass,
-            )
-        )
-    return BumpRefinementReport(
-        x=x, y=y, bound=bound, point_mass_threshold=threshold, checks=tuple(checks)
-    )

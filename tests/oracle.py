@@ -11,10 +11,8 @@ from fractions import Fraction
 ZERO = Fraction(0)
 
 
-def ball_members(space, center, radius, strict=False):
+def ball_members(space, center, radius):
     row = space.dist[center]
-    if strict:
-        return frozenset(p for p in range(space.n) if row[p] < radius)
     return frozenset(p for p in range(space.n) if row[p] <= radius)
 
 

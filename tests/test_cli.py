@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from maxlab import (
 from maxlab import cli
 from maxlab import io as mio
 from maxlab.cli import EXIT_INPUT_ERROR, EXIT_MATH_FAILURE, EXIT_OK, main
-from maxlab.metric import _integer_matrix
+from maxlab.metric import MAX_VIOLATIONS, _integer_matrix
 
 Q = Fraction
 
@@ -218,6 +219,54 @@ class TestDigitLimit:
         assert err.count("\n") == 1
         assert err.startswith(f"maxlab: input error: cannot parse scalar '1e5000': more than {DIGIT_LIMIT}")
 
+    # each value parses, but over their common denominator 10**4000 the largest
+    # is 10**8000: the vector is refused at load time, before any audit runs
+    DERIVED = ["1e4000", "1e-4000", 1]
+
+    @pytest.mark.parametrize("key", ["weights", "f"])
+    def test_vector_past_the_limit_once_scaled(self, files, tmp_path, key):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({key: self.DERIVED}))
+        line3, uniform = str(files / "line3.json"), str(files / "uniform.json")
+        argv = {
+            "weights": ["lemma22", "--space", line3, "--measure", str(path)],
+            "f": ["maximal", "--space", line3, "--measure", uniform, "--fn", str(path)],
+        }[key]
+        code, out, err = _run(argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == (
+            f"maxlab: input error: {path}: {key!r} passes {DIGIT_LIMIT} digits over its common denominator\n"
+        )
+
+    @pytest.mark.parametrize("key", ["sequence", "limit"])
+    def test_sequence_past_the_limit_once_scaled(self, files, tmp_path, key):
+        document = {"sequence": [[1, 1, 1]], "limit": [1, 1, 1], "point": "0", "deviation_bound": 1}
+        if key == "sequence":
+            document["sequence"].append(self.DERIVED)
+        else:
+            document["limit"] = self.DERIVED
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(document))
+        code, out, err = _run(
+            ["lsc", "--space", str(files / "line3.json"), "--measure", str(files / "uniform.json"),
+             "--sequence", str(path)]
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"maxlab: input error: {path}: {key!r} passes {DIGIT_LIMIT} digits")
+        assert err.count("\n") == 1
+
+    # over denominator 1, three entries: 3 * 33...3 stays below 10**DIGIT_LIMIT,
+    # and 3 * 44...4 reaches it
+    @pytest.mark.parametrize("digit, loads", [("3", True), ("4", False)])
+    def test_bound_at_the_limit(self, tmp_path, digit, loads):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"f": [digit * DIGIT_LIMIT, 1, 1]}))
+        if loads:
+            assert mio.load_function(path, 3).values[1] == 1
+        else:
+            with pytest.raises(mio.InputFormatError, match=f"'f' passes {DIGIT_LIMIT} digits"):
+                mio.load_function(path, 3)
+
 
 def _forms(q):
     """The ways a document may write q, as (JSON token, CSV text) pairs."""
@@ -362,6 +411,19 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["valid"] is False
         assert any(v["axiom"] == "triangle" for v in report["result"]["violations"])
+        assert "truncated" not in report["result"]  # only a cut list says so
+
+    def test_validate_lists_at_most_max_violations(self, tmp_path, capsys):
+        # squared distances on a 13 x 13 grid break the triangle inequality 544,188 times
+        grid = [(i, j) for i in range(13) for j in range(13)]
+        bad = tmp_path / "squared.json"
+        mio.write_json({"dist": [[(a - c) ** 2 + (b - d) ** 2 for c, d in grid] for a, b in grid]}, bad)
+        start = time.perf_counter()
+        assert main(["validate", "--space", str(bad)]) == EXIT_MATH_FAILURE
+        assert time.perf_counter() - start < 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert len(result["violations"]) == MAX_VIOLATIONS == 1000
+        assert result["truncated"] is True
 
     def test_env_seed_not_an_integer_exits_2(self, files, monkeypatch):
         monkeypatch.setenv("MAXLAB_SEED", "abc")

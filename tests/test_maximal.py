@@ -11,6 +11,7 @@ from maxlab import (
     ball_average,
     centered_maximal,
     centered_maximal_measure,
+    closed_ball,
     dirac,
     enumerate_balls,
     gen_function,
@@ -21,6 +22,7 @@ from maxlab import (
     inf_ball_measure_pair,
     line_space,
     maximal_field,
+    measure_of,
     noncentered_maximal,
     noncentered_maximal_measure,
     validate_space,
@@ -295,6 +297,9 @@ class TestProperties:
                 value = noncentered_maximal_measure(delta, mu, family, y).value
                 inf_value, _ = inf_ball_measure_pair(mu, family, x, y)
                 assert value * inf_value == 1
+                # the smallest ball around y that holds x is B(y, d(x,y))
+                centered = centered_maximal_measure(delta, mu, family, y).value
+                assert centered * measure_of(mu, closed_ball(space, y, space.dist[x][y])) == 1
 
     @given(instances(), st.integers(1, 50))
     @settings(max_examples=40, deadline=None)

@@ -24,7 +24,6 @@ from maxlab import (
     maximal_field,
     measure_of,
     normalized_indicator,
-    open_ball,
     verify_hull_certificates,
 )
 
@@ -33,7 +32,7 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 
 def _ball(members):
     mask = sum(1 << p for p in members)
-    return Ball(center=members[0], radius=Fraction(0), kind="closed", mask=mask)
+    return Ball(center=members[0], radius=Fraction(0), mask=mask)
 
 
 class TestConstruction:
@@ -99,7 +98,7 @@ class TestIntegration:
         assert ball_average(SampleFunction((-5, 7, 3)), mu, b01) == 0
 
     def test_empty_open_ball(self, line3, uniform3):
-        empty = open_ball(line3, 0, 0)
+        empty = Ball(0, Fraction(0), 0)  # no member, as the open ball B(0, 0) had
         assert empty.members == ()
         assert measure_of(uniform3, empty) == 0
 

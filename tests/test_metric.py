@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from maxlab import metric
 from maxlab import (
     Ball,
     FiniteMetricSpace,
@@ -19,10 +20,10 @@ from maxlab import (
     is_ultrametric,
     line_space,
     metric_violations,
-    open_ball,
     ultrametric_violation,
     validate_space,
 )
+from maxlab.metric import MAX_VIOLATIONS
 
 spaces = st.one_of(
     st.integers(1, 10).flatmap(
@@ -169,6 +170,29 @@ class TestValidate:
         got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
         assert got == oracle.metric_violations(dist)
         assert ("triangle", (1, 0, 2)) in [g[:2] for g in got]
+
+    def test_violations_cut_at_max_violations(self):
+        # squared distances on a 5 x 5 grid: 1,300 violations, the first 1,000 listed
+        grid = [(i, j) for i in range(5) for j in range(5)]
+        dist = tuple(tuple(Fraction((a - c) ** 2 + (b - d) ** 2) for c, d in grid) for a, b in grid)
+        expected = oracle.metric_violations(dist)
+        assert len(expected) == 1300
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == expected[:MAX_VIOLATIONS]
+        with pytest.raises(MetricAxiomError, match="^at least 1000 metric axiom violation") as exc:
+            validate_space(dist)
+        assert exc.value.truncated
+        assert [(v.axiom, v.indices, v.detail) for v in exc.value.violations] == got
+
+    def test_list_of_exactly_max_violations_is_not_truncated(self, monkeypatch):
+        matrix = [[0, 1, 0], [2, 3, 1], [0, 1, 0]]
+        total = len(metric_violations(tuple(tuple(Fraction(v) for v in row) for row in matrix)))
+        for cap, truncated in ((total, False), (total - 1, True)):
+            monkeypatch.setattr(metric, "MAX_VIOLATIONS", cap)
+            with pytest.raises(MetricAxiomError) as exc:
+                validate_space(matrix)
+            assert (len(exc.value.violations), exc.value.truncated) == (cap, truncated)
+            assert str(exc.value).startswith(f"at least {cap} " if truncated else f"{cap} ")
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="square"):
@@ -337,30 +361,25 @@ class TestBalls:
         assert closed_ball(line3, 2, 1).members == (1, 2)
         assert closed_ball(line3, 1, 0).members == (1,)
 
-    def test_open_ball_strict(self, line3):
-        assert open_ball(line3, 1, 1).members == (1,)
-
     @given(spaces, st.data())
     @settings(max_examples=60, deadline=None)
     def test_point_balls_match_brute_force(self, space, data):
         c = data.draw(st.integers(0, space.n - 1))
         entries = sorted(set(space.dist[c]))
         r = data.draw(st.one_of(st.sampled_from(entries), st.fractions(0, entries[-1] + 1)))
-        for ball, strict in ((closed_ball(space, c, r), False), (open_ball(space, c, r), True)):
-            expected = oracle.ball_members(space, c, r, strict=strict)
-            assert ball.members == tuple(sorted(expected))
-            assert ball.mask == sum(1 << p for p in expected)
+        ball = closed_ball(space, c, r)
+        expected = oracle.ball_members(space, c, r)
+        assert ball.members == tuple(sorted(expected))
+        assert ball.mask == sum(1 << p for p in expected)
 
     @given(st.integers(0, 2**700))
     def test_members_are_the_set_bits(self, mask):
-        ball = Ball(center=0, radius=Fraction(0), kind="closed", mask=mask)
+        ball = Ball(center=0, radius=Fraction(0), mask=mask)
         assert ball.members == tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
     def test_negative_radius(self, line3):
         with pytest.raises(ValueError):
             closed_ball(line3, 0, -1)
-        with pytest.raises(ValueError):
-            open_ball(line3, 0, Fraction(-1, 2))
 
     def test_line3_family(self, line3):
         family = enumerate_balls(line3)

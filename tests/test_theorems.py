@@ -14,9 +14,7 @@ from maxlab import (
     SampleFunction,
     Witness,
     build_grid_demo,
-    bump_function,
     check_ball_infimum,
-    check_bump_bound,
     check_lower_semicontinuity,
     coincidence_exact,
     coincidence_randomized,
@@ -379,7 +377,7 @@ class TestHullCertificateChecker:
     def test_rejects_ball_that_is_not_its_radius(self, case):
         space, mu, balls, verdict = case
         # the closed ball (0, 1) is {0,1}: a Ball that names it but holds only {0} is not it
-        fake = Ball(0, Q(1), "closed", balls[0].mask)
+        fake = Ball(0, Q(1), balls[0].mask)
         bad = self._swap(
             verdict, HullCertificate(0, balls[1], balls[1]), HullCertificate(0, balls[1], fake)
         )
@@ -666,34 +664,3 @@ class TestGridDemo:
         with pytest.raises(ValueError, match="subdivisions"):
             build_grid_demo(1)
 
-
-class TestBumpRefinement:
-    def test_line3_bound_holds_for_all_deltas(self, line3, uniform3):
-        report = check_bump_bound(
-            line3, uniform3, 0, 1, [Q(3), Q(2), Q(1), Q(1, 2), Q(1, 8)]
-        )
-        assert report.bound == Q(1, 3)
-        assert report.all_bounds_hold
-        assert report.point_mass_threshold == 1
-        for check in report.checks:
-            if check.delta <= report.point_mass_threshold:
-                assert check.is_point_mass
-
-    def test_point_mass_limit_function(self, line3, uniform3):
-        f = bump_function(line3, uniform3, 0, 1, Q(1, 2))
-        assert f == normalized_indicator(line3, {0}, uniform3)
-
-    def test_zero_delta_rejected(self, line3, uniform3):
-        with pytest.raises(ValueError, match="positive"):
-            bump_function(line3, uniform3, 0, 1, 0)
-
-    @given(st.integers(2, 9), st.integers(0, 10**5), st.integers(0, 10**5))
-    @settings(max_examples=50, deadline=None)
-    def test_bound_holds_on_random_spaces(self, n, seed_s, seed_m):
-        space = gen_taxicab(n, dim=2, seed=seed_s)
-        mu = gen_measure(space, seed=seed_m, zero_fraction=0.0)
-        x, y = 0, 1 + seed_m % (n - 1)
-        deltas = [Q(4), Q(2), Q(1), Q(1, 2), Q(1, 4), Q(1, 16)]
-        report = check_bump_bound(space, mu, x, y, deltas)
-        assert report.all_bounds_hold
-        assert report.checks[-1].is_point_mass or deltas[-1] > report.point_mass_threshold
