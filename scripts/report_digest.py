@@ -10,10 +10,12 @@ script runs, in-process, `coincide` (exact, and randomized with 0, 6 and 200
 trials), `lemma22`, `lsc` and `maximal`; a benchmark audit input gets
 `lemma22` and `lsc` only. Each distinct space gets `balls` and `witness`, and
 `demo-grid` runs for n = 2 to 12. Last come the inputs of MALFORMED, written
-into DIR/malformed on every run. All exit 2 but two: the exact JSON literal
-0.5 is read, and the squared-distance grid fails `validate` (exit 1) with a cut
-violation list. For each run the script prints the sha256 of the report's
-bytes and of the stderr bytes, the exit code and the report's name.
+into DIR/malformed on every run, each with the exit code it must give. All
+exit 2 but two: the exact JSON literal 0.5 is read, and the squared-distance
+grid fails `validate` (exit 1) with a cut violation list. For each run the
+script prints the sha256 of the report's bytes and of the stderr bytes, the
+exit code and the report's name. After the last line it exits 1 if a
+malformed case gave another exit code, and names each such case on stderr.
 
 The script loads the `src/`, `bench/` and `tests/` next to it. To show that
 two checkouts write byte-identical reports, put a copy of it in each, run both
@@ -58,41 +60,43 @@ GOOD = {
 ROLES = {"validate": ("space",), "lemma22": ("space", "measure"), "maximal": ("space", "measure", "fn")}
 # 13 x 13 grid points with squared distances: 544,188 triangle violations
 SQUARED_GRID = [(i, j) for i in range(13) for j in range(13)]
-# case -> (subcommand, the role it replaces, file name, file text, MAXLAB_SEED or None)
+# case -> (subcommand, the role it replaces, file name, file text, MAXLAB_SEED or None, exit code)
 MALFORMED = {
-    "true-cell": ("validate", "space", "true.json", '{"dist": [[0, true], [true, 0]]}', None),
-    "list-cell": ("validate", "space", "list.json", '{"dist": [[0, [1]], [[1], 0]]}', None),
-    "string-1/0": ("lemma22", "measure", "div0.json", '{"weights": ["1/0", 1, 1]}', None),
-    "literal-0.5": ("lemma22", "measure", "half.json", '{"weights": [0.5, 1, 1]}', None),
-    "string-1e5000": ("lemma22", "measure", "e5000s.json", '{"weights": ["1e5000", 1, 1]}', None),
-    "literal-1e5000": ("lemma22", "measure", "e5000.json", '{"weights": [1e5000, 1, 1]}', None),
-    "csv-1e5000": ("validate", "space", "e5000.csv", "0,1e5000\n1e5000,0\n", None),
-    "triangle": ("maximal", "space", "triangle.json", '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}', None),
-    "seed-abc": ("validate", "space", "good.json", GOOD["space"], "abc"),
-    "scaled-1e4000": ("lemma22", "measure", "e4000.json", '{"weights": ["1e4000", "1e-4000", 1]}', None),
-    "scaled-1e4000-fn": ("maximal", "fn", "e4000fn.json", '{"f": ["1e4000", "1e-4000", 1]}', None),
+    "true-cell": ("validate", "space", "true.json", '{"dist": [[0, true], [true, 0]]}', None, 2),
+    "list-cell": ("validate", "space", "list.json", '{"dist": [[0, [1]], [[1], 0]]}', None, 2),
+    "string-1/0": ("lemma22", "measure", "div0.json", '{"weights": ["1/0", 1, 1]}', None, 2),
+    "literal-0.5": ("lemma22", "measure", "half.json", '{"weights": [0.5, 1, 1]}', None, 0),
+    "string-1e5000": ("lemma22", "measure", "e5000s.json", '{"weights": ["1e5000", 1, 1]}', None, 2),
+    "literal-1e5000": ("lemma22", "measure", "e5000.json", '{"weights": [1e5000, 1, 1]}', None, 2),
+    "csv-1e5000": ("validate", "space", "e5000.csv", "0,1e5000\n1e5000,0\n", None, 2),
+    "triangle": ("maximal", "space", "triangle.json", '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}', None, 2),
+    "seed-abc": ("validate", "space", "good.json", GOOD["space"], "abc", 2),
+    "scaled-1e4000": ("lemma22", "measure", "e4000.json", '{"weights": ["1e4000", "1e-4000", 1]}', None, 2),
+    "scaled-1e4000-fn": ("maximal", "fn", "e4000fn.json", '{"f": ["1e4000", "1e-4000", 1]}', None, 2),
     "squared-grid": (
         "validate",
         "space",
         "squared.json",
         json.dumps({"dist": [[(a - c) ** 2 + (b - d) ** 2 for c, d in SQUARED_GRID] for a, b in SQUARED_GRID]}),
         None,
+        1,
     ),
+    "int-literal-5000": ("lemma22", "measure", "int5000.json", f'{{"weights": [{"1" * 5000}, 1, 1]}}', None, 2),
 }
 
 
-def write_malformed(folder: Path) -> list[tuple[str, list[str], str | None]]:
-    """Write the MALFORMED files into folder; return (case, argv, MAXLAB_SEED) per case."""
+def write_malformed(folder: Path) -> list[tuple[str, list[str], str | None, int]]:
+    """Write the MALFORMED files into folder; return (case, argv, MAXLAB_SEED, exit code) per case."""
     folder.mkdir(parents=True, exist_ok=True)
     for role, text in GOOD.items():
         (folder / f"good.{role}.json").write_text(text, encoding="utf-8")
     cases = []
-    for case, (subcommand, role, name, text, env_seed) in MALFORMED.items():
+    for case, (subcommand, role, name, text, env_seed, code) in MALFORMED.items():
         (folder / name).write_text(text, encoding="utf-8")
         argv = [subcommand]
         for r in ROLES[subcommand]:
             argv += [f"--{r}", str(folder / (name if r == role else f"good.{r}.json"))]
-        cases.append((case, argv, env_seed))
+        cases.append((case, argv, env_seed, code))
     return cases
 
 
@@ -199,9 +203,16 @@ def main() -> int:
             print(f"{digest(argv)}  {name} {report}")
     for n in GRID_SIZES:
         print(f"{digest(['demo-grid', '--n', str(n), '--seed', str(SEED)])}  grid[{n}] demo-grid")
-    for name, argv, env_seed in write_malformed(args.dir / "malformed"):
-        print(f"{digest(argv, env_seed)}  malformed[{name}] {argv[0]}")
-    return 0
+    wrong = []
+    for name, argv, env_seed, expected in write_malformed(args.dir / "malformed"):
+        line = digest(argv, env_seed)
+        print(f"{line}  malformed[{name}] {argv[0]}")
+        code = int(line.rsplit(" ", 1)[1])
+        if code != expected:
+            wrong.append(f"malformed[{name}] exited {code}, expected {expected}")
+    for message in wrong:
+        print(f"report_digest: {message}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -75,12 +75,18 @@ def parse_scalar(value: Any) -> Fraction:
     except TypeError as exc:
         raise InputFormatError(str(exc)) from None
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"cannot parse scalar {value!r}: {exc}") from None
+        shown = value[:40] + "…" if isinstance(value, str) and len(value) > 40 else value
+        raise InputFormatError(f"cannot parse scalar {shown!r}: {exc}") from None
 
 
 def scalar_str(q: Fraction) -> str:
-    """Canonical exact rendering 'p/q'."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical exact rendering 'p/q'; a part past int()'s digit limit is an InputFormatError."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # int()'s digit limit, which each input value passed alone
+        raise InputFormatError(
+            f"a report value passes {_digit_limit()} digits: the input values are too large together"
+        ) from None
 
 
 def scalar_decimal(q: Fraction, digits: int = 12) -> str:
@@ -104,11 +110,14 @@ class _Literals(dict):
 
 
 def _load_json(path: Path) -> Any:
+    limit = _digit_limit()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # parse_float receives the literal text, so decimals convert exactly;
-            # equal literals share one Fraction, which a cell table then finds by identity
-            return json.load(fh, parse_float=_Literals().__getitem__)
+            # equal literals share one Fraction, which a cell table then finds by identity.
+            # An integer literal too long for int() gets the grammar's message, not int()'s.
+            whole = lambda t: int(t) if len(t) <= limit else parse_scalar(t).numerator  # noqa: E731
+            return json.load(fh, parse_float=_Literals().__getitem__, parse_int=whole)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from None
 

@@ -63,8 +63,8 @@ def _digit_limit() -> int:
 def as_rational(value: int | str | Fraction) -> Fraction:
     """The package's one scalar grammar: an int, a Fraction, or a string Fraction reads.
 
-    A decimal string whose unreduced numerator or denominator could pass int()'s
-    digit limit (mantissa digits plus |exponent|, `_` dropped) raises ValueError
+    A string whose numerator or denominator could pass int()'s digit limit (for a
+    decimal, mantissa digits plus |exponent|, `_` dropped) raises ValueError
     before any value is built; the limit is `_digit_limit()`. A float, a bool
     or any other non-scalar raises TypeError naming the value and its type.
     """
@@ -76,18 +76,23 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         text = value.strip()
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
+        limit = _digit_limit()
         # ASCII [+-]digits[/digits] skips Fraction's regex (int() alone takes "3/ 4")
         if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        if not slash:  # int() bounds both sides of a p/q itself
-            limit = _digit_limit()
+            size = max(len(digits), len(den))
+            if size <= limit:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        elif slash:
+            size = max(sum(map(str.isdigit, num)), sum(map(str.isdigit, den)))
+        else:
             mantissa, _, exponent = text.replace("_", "").upper().partition("E")
             try:
                 shift = abs(int(exponent or 0)) if len(exponent) <= limit else limit + 1
             except ValueError:  # no exponent Fraction reads; it rejects the text
                 shift = 0
-            if sum(map(str.isdigit, mantissa)) + shift > limit:
-                raise ValueError(f"more than {limit} digits in its numerator or denominator")
+            size = sum(map(str.isdigit, mantissa)) + shift
+        if size > limit:
+            raise ValueError(f"more than {limit} digits in its numerator or denominator")
         return Fraction(text)
     if isinstance(value, float):
         raise TypeError(f"refusing float scalar {value!r}; use an integer, a decimal string, or p/q")

@@ -364,10 +364,18 @@ class PairBallCheck:
     measure_ball_y: Fraction  # measure of the closed ball around y with radius d(x,y)
     pair_infimum: Fraction  # minimum measure over balls containing both x and y
     measure_ball_x: Fraction  # measure of the closed ball around x with radius d(x,y)
-    dirac_maximal: Fraction  # non-centered maximal of the point mass at x, at y
     inequality_holds: bool  # measure_ball_y <= pair_infimum
     symmetry_holds: bool  # measure_ball_y == measure_ball_x
-    dirac_bound_holds: bool  # dirac_maximal <= 1 / measure_ball_y
+
+    @property
+    def dirac_maximal(self) -> Fraction:
+        """Non-centered maximal of the point mass at x, at y: by definition 1 / pair_infimum."""
+        return 1 / self.pair_infimum
+
+    @property
+    def dirac_bound_holds(self) -> bool:
+        """dirac_maximal <= 1 / measure_ball_y: for positive measures, inequality_holds."""
+        return self.inequality_holds
 
 
 @dataclass(frozen=True)
@@ -396,22 +404,17 @@ class BallInfimumReport:
 def check_ball_infimum(
     space: FiniteMetricSpace, mu: DiscreteMeasure, family: BallFamily | None = None
 ) -> BallInfimumReport:
-    """Audit, for every ordered support pair (x, y) with x != y, the bounds
+    """Audit, for every ordered support pair (x, y) with x != y, the bound
 
     measure(B(y, d(x,y))) <= min over balls containing x and y of the measure,
-    the symmetric equality measure(B(y,d)) == measure(B(x,d)), and the bound
-    of the point-mass maximal at y by 1/measure(B(y,d)). All three hold
+    and the symmetric equality measure(B(y,d)) == measure(B(x,d)). Both hold
     whenever the two maximal operators coincide for every function; each row
-    records whether they hold here.
+    records whether they hold here. The point-mass maximal of x at y is 1 over
+    the pair infimum, so its bound by 1/measure(B(y,d)) is the first inequality.
 
-    Every value is read off integer ball masses and the family's per-center
-    ranks. B(y, d(x,y)) is the ball of rank rank_of[x][y] around y. The
-    smallest ball around c holding x and y is the one of rank
-    max(rank_of[x][c], rank_of[y][c]), so the pair infimum is a minimum over
-    the centers c. The point-mass maximal is 1 over the smallest mass of a
-    ball holding x and y found by a separate sweep over the balls containing
-    x, so the identity dirac_maximal * pair_infimum = 1 stays a check between
-    two computations.
+    Every value is read off integer ball masses. B(y, d(x,y)) is the ball of
+    rank rank_of[x][y] around y, and one `pair_masses(x)` row gives the pair
+    infimum of x with every y.
     """
     if family is None:
         family = enumerate_balls(space)
@@ -419,24 +422,18 @@ def check_ball_infimum(
     masses, scale = ball_measures.masses, ball_measures.scale
     # rows repeat few distinct masses: build each Fraction once
     measure = cache(lambda m: Fraction(m, scale))
-    reciprocal = cache(lambda m: Fraction(scale, m))
-    rank_of = family.rank_of
-    # mass_rows[c][k]: scaled measure of the k-th smallest ball centered at c
-    mass_rows = [[masses[i] for i in row] for row in family.centered_at]
+    rank_of, centered_at = family.rank_of, family.centered_at
     support = mu.support
     rows: list[PairBallCheck] = []
     for x in support:
-        dirac_row = ball_measures.pair_masses(x)
+        least = ball_measures.pair_masses(x)
         ranks_x = rank_of[x]
-        # row c clipped below x's rank: entry k is the smallest ball around c
-        # holding x and the points of rank k
-        holding_x = [row[r : r + 1] * r + row[r:] for row, r in zip(mass_rows, ranks_x)]
         for y in support:
             if y == x:
                 continue
-            m_y = mass_rows[y][ranks_x[y]]
-            m_x = mass_rows[x][rank_of[y][x]]
-            inf_m = min(map(list.__getitem__, holding_x, rank_of[y]))
+            m_y = masses[centered_at[y][ranks_x[y]]]
+            m_x = masses[centered_at[x][rank_of[y][x]]]
+            inf_m = least[y]
             rows.append(
                 PairBallCheck(
                     x=x,
@@ -444,10 +441,8 @@ def check_ball_infimum(
                     measure_ball_y=measure(m_y),
                     pair_infimum=measure(inf_m),
                     measure_ball_x=measure(m_x),
-                    dirac_maximal=reciprocal(dirac_row[y]),
                     inequality_holds=m_y <= inf_m,
                     symmetry_holds=m_y == m_x,
-                    dirac_bound_holds=m_y <= dirac_row[y],
                 )
             )
     return BallInfimumReport(pairs=tuple(rows))

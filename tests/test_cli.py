@@ -196,6 +196,19 @@ class TestMemoizedCells:
         assert code == EXIT_INPUT_ERROR and "True" in err
 
 
+# a literal of 5,000 digits, past int()'s default limit
+LONG = "1" * 5000
+
+
+def _too_long(text):
+    """The one stderr line for a cell past the digit limit, which echoes 40 characters of it."""
+    shown = text[:40] + "…" if len(text) > 40 else text
+    return (
+        f"maxlab: input error: cannot parse scalar {shown!r}:"
+        f" more than {DIGIT_LIMIT} digits in its numerator or denominator\n"
+    )
+
+
 class TestDigitLimit:
     """A cell past int()'s digit limit exits 2 at parse time, named, through every entry."""
 
@@ -209,15 +222,43 @@ class TestDigitLimit:
             f" more than {DIGIT_LIMIT} digits in its numerator or denominator\n"
         )
 
-    # a JSON string, and a JSON number literal, whose text the grammar reads
-    @pytest.mark.parametrize("token", ['"1e5000"', "1e5000"], ids=["string", "number"])
+    def test_json_integer_space_cell(self, tmp_path):
+        # json would pass the literal to int(), whose error names no cell
+        path = tmp_path / "space.json"
+        path.write_text(f'{{"dist": [[0, {LONG}], [{LONG}, 0]]}}')
+        code, out, err = _run(["validate", "--space", str(path)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == _too_long(LONG)
+
+    # a JSON string, and a JSON number literal, whose text the grammar reads; the
+    # long ones skip Fraction's regex, or json would pass them to int()
+    @pytest.mark.parametrize(
+        "token",
+        ['"1e5000"', "1e5000", LONG, json.dumps(LONG), json.dumps(f"1/{LONG}")],
+        ids=["string", "number", "integer", "long-string", "long-denominator"],
+    )
     def test_weight(self, files, tmp_path, token):
         path = tmp_path / "m.json"
         path.write_text(f'{{"weights": [{token}, 1, 1]}}')
         code, out, err = _run(["lemma22", "--space", str(files / "line3.json"), "--measure", str(path)])
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err.count("\n") == 1
-        assert err.startswith(f"maxlab: input error: cannot parse scalar '1e5000': more than {DIGIT_LIMIT}")
+        assert err == _too_long(json.loads(token) if token.startswith('"') else token)
+
+    # each file passes the load-time bound, but a value the report derives from
+    # them (an average over {0, 1}, the witness gap) has about twice the digits
+    @pytest.mark.parametrize("subcommand", ["maximal", "coincide"])
+    def test_report_value_past_the_limit(self, files, tmp_path, subcommand):
+        big = "3" * (DIGIT_LIMIT - 1)
+        mio.write_json({"weights": [big, 1, 1]}, tmp_path / "w.json")
+        mio.write_json({"f": [big, 1, 1]}, tmp_path / "f.json")
+        argv = [subcommand, "--space", str(files / "line3.json"), "--measure", str(tmp_path / "w.json")]
+        argv += ["--fn", str(tmp_path / "f.json")] if subcommand == "maximal" else ["--mode", "randomized"]
+        code, out, err = _run(argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == (
+            f"maxlab: input error: a report value passes {DIGIT_LIMIT} digits:"
+            " the input values are too large together\n"
+        )
 
     # each value parses, but over their common denominator 10**4000 the largest
     # is 10**8000: the vector is refused at load time, before any audit runs

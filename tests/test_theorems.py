@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from corpus import small_catalog, weight_grid
+from test_maximal import CANDIDATE_CASES
 from maxlab import (
     Ball,
     DiscreteMeasure,
@@ -420,6 +421,28 @@ class TestHullCertificateChecker:
         assert not verify_hull_certificates(line3, uniform3, verdict)
 
 
+def _check_audit_rows(space, mu):
+    """Every row of check_ball_infimum against the oracle's balls and point-mass maximal."""
+    report = check_ball_infimum(space, mu)
+    support = mu.support
+    assert [(r.x, r.y) for r in report.pairs] == [
+        (x, y) for x in support for y in support if x != y
+    ]
+    for row in report.pairs:
+        x, y = row.x, row.y
+        d = space.dist[x][y]
+        m_y = oracle.mass(mu, oracle.ball_members(space, y, d))
+        m_x = oracle.mass(mu, oracle.ball_members(space, x, d))
+        inf_m = oracle.inf_pair_measure(space, mu, x, y)
+        dm = oracle.dirac_maximal(space, mu, x, y)
+        assert (row.measure_ball_y, row.pair_infimum, row.measure_ball_x) == (m_y, inf_m, m_x)
+        assert row.dirac_maximal == dm
+        assert row.inequality_holds == (m_y <= inf_m)
+        assert row.symmetry_holds == (m_y == m_x)
+        assert row.dirac_bound_holds == (dm * m_y <= 1)
+        assert row.dirac_maximal * row.pair_infimum == 1
+
+
 class TestBallInfimumDifferential:
     @given(small_spaces, st.data())
     @settings(max_examples=300, deadline=None)
@@ -427,25 +450,18 @@ class TestBallInfimumDifferential:
         weights = data.draw(
             st.lists(weight_values, min_size=space.n, max_size=space.n).filter(any)
         )
-        mu = DiscreteMeasure(tuple(weights))
-        report = check_ball_infimum(space, mu)
-        support = mu.support
-        assert [(r.x, r.y) for r in report.pairs] == [
-            (x, y) for x in support for y in support if x != y
-        ]
-        for row in report.pairs:
-            x, y = row.x, row.y
-            d = space.dist[x][y]
-            m_y = oracle.mass(mu, oracle.ball_members(space, y, d))
-            m_x = oracle.mass(mu, oracle.ball_members(space, x, d))
-            inf_m = oracle.inf_pair_measure(space, mu, x, y)
-            dm = oracle.dirac_maximal(space, mu, x, y)
-            assert (row.measure_ball_y, row.pair_infimum, row.measure_ball_x) == (m_y, inf_m, m_x)
-            assert row.dirac_maximal == dm
-            assert row.inequality_holds == (m_y <= inf_m)
-            assert row.symmetry_holds == (m_y == m_x)
-            assert row.dirac_bound_holds == (dm * m_y <= 1)
-            assert row.dirac_maximal * row.pair_infimum == 1
+        _check_audit_rows(space, DiscreteMeasure(tuple(weights)))
+
+    # spaces of up to 30 points, on both sides of pair_masses' sweep rule. The
+    # oracle costs O(n^4) per pair, so only every seventh point has weight (1 to 3).
+    @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
+    def test_rows_match_brute_force_on_candidate_cases(self, case):
+        build, wide = CANDIDATE_CASES[case]
+        space = build()
+        family = enumerate_balls(space)
+        mu = DiscreteMeasure(tuple(Q(1 + p % 3) if p % 7 == 3 else 0 for p in range(space.n)))
+        assert any(len(family.containing[x]) > space.n for x in mu.support) == wide
+        _check_audit_rows(space, mu)
 
 
 class TestPointMassSearch:
