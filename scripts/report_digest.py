@@ -82,6 +82,7 @@ MALFORMED = {
         1,
     ),
     "int-literal-5000": ("lemma22", "measure", "int5000.json", f'{{"weights": [{"1" * 5000}, 1, 1]}}', None, 2),
+    "junk-5000": ("lemma22", "measure", "junk5000.json", f'{{"weights": ["{"x" * 5000}", 1, 1]}}', None, 2),
 }
 
 

@@ -21,9 +21,9 @@ one-point query builds no tables and scans `centered_at[x]` and
 goes to the earlier ball. Elsewhere two distinct balls are compared, on
 their member masks, only when two cross-products are equal.
 
-No kernel reads a ball's member tuple where its mask serves: ties compare
-masks, and the point-mass row of the pair audit (`pair_masses`) sweeps the
-balls containing p by ascending mass, writing only the points each one adds.
+No kernel reads a `Ball` where `family.masks` serves: ties compare masks,
+and the point-mass row of the pair audit (`pair_masses`) sweeps the balls
+containing p by ascending mass, writing only the points each one adds.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class _BallMeasures:
         A tie between two distinct balls compares their masks (`_precedes`),
         and only such a tie does.
         """
-        balls, denominators = self.family.balls, self._denominators
+        masks, denominators = self.family.masks, self._denominators
         candidates = iter(candidates)
         best = next(candidates)
         best_s, best_m = sums[best], denominators[best]
@@ -182,7 +182,7 @@ class _BallMeasures:
             s, m = sums[i], denominators[i]
             lhs, rhs = s * best_m, best_s * m
             if lhs > rhs or (
-                lhs == rhs and i != best and _precedes(balls[i].mask, balls[best].mask)
+                lhs == rhs and i != best and _precedes(masks[i], masks[best])
             ):
                 best, best_s, best_m = i, s, m
         return best
@@ -193,22 +193,25 @@ class _BallMeasures:
         The centered argmax is the winner [x][0]. The balls containing x are
         `centered_at[c][rank_of[x][c]:]` over every center c, so the
         non-centered argmax is the best of the n winners [c][rank_of[x][c]],
-        or of `containing[x]` where that list is shorter.
+        or of `containing[x]`, which a family with Σ|B| > n² never builds for
+        this. Both give the unique best ball by value, then `_precedes`.
         """
         family = self.family
         winners = self._winners(sums)
+        by_winners = family.member_total > family.n**2
         for x, w in enumerate(self.weights):
             if not w:
                 continue
-            candidates: Iterable[int] = family.containing[x]
-            if len(family.containing[x]) > family.n:
-                candidates = map(list.__getitem__, winners, family.rank_of[x])
+            if by_winners:
+                candidates: Iterable[int] = map(list.__getitem__, winners, family.rank_of[x])
+            else:
+                candidates = family.containing[x]
             yield x, winners[x][0], self._best(sums, candidates)
 
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
         value = Fraction(sums[i] * factor.numerator, self._denominators[i] * factor.denominator)
-        return MaximalValue(value=value, ball=self.family.balls[i])
+        return MaximalValue(value=value, ball=self.family.ball(i))
 
     def at(
         self, g: SampleFunction | DiscreteMeasure, x: int
@@ -235,16 +238,16 @@ class _BallMeasures:
         family = self.family
         if not (0 <= x < family.n and 0 <= y < family.n):
             raise ValueError("point index out of range")
-        balls, masses = family.balls, self.masses
+        masks, masses = family.masks, self.masses
         rank_x, rank_y = family.rank_of[x], family.rank_of[y]
         best = family.centered_at[0][max(rank_x[0], rank_y[0])]
         for row, rx, ry in zip(family.centered_at, rank_x, rank_y):
             i = row[max(rx, ry)]
             if masses[i] < masses[best] or (
-                masses[i] == masses[best] and i != best and _precedes(balls[i].mask, balls[best].mask)
+                masses[i] == masses[best] and i != best and _precedes(masks[i], masks[best])
             ):
                 best = i
-        return Fraction(masses[best], self.scale), balls[best]
+        return Fraction(masses[best], self.scale), family.ball(best)
 
     def pair_masses(self, p: int) -> list[int]:
         """For every point x, the smallest scaled measure of a ball holding both p and x.
@@ -256,13 +259,13 @@ class _BallMeasures:
         balls, every ball adds points anyway, and they are written whole.
         """
         family, masses = self.family, self.masses
-        n, balls = family.n, family.balls
+        n, masks = family.n, family.masks
         containing = sorted(family.containing[p], key=masses.__getitem__)
         row = [0] * n
         if len(containing) > n:
             covered, everything = 0, (1 << n) - 1
             for i in containing:
-                new = balls[i].mask & ~covered
+                new = masks[i] & ~covered
                 if new:
                     covered |= new
                     m = masses[i]
@@ -276,7 +279,7 @@ class _BallMeasures:
         # largest balls first, so each point keeps the smallest mass written to it
         for i in reversed(containing):
             m = masses[i]
-            for x in balls[i].members:
+            for x in family.balls[i].members:
                 row[x] = m
         return row
 

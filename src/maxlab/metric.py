@@ -18,8 +18,8 @@ column of the integer matrix is packed into one Python int, one byte field per
 point with a guard bit on top (`_packed_lines`); one subtraction of such ints
 compares all n entries of a line with a threshold at once, and the guard bits
 that survive mark the entries at or above it. `enumerate_balls` deduplicates
-member sets on an int bitmask, bit p for point p, and each `Ball` keeps its
-mask: the sorted member tuple is derived only when read.
+member sets on an int bitmask, bit p for point p; the family builds its `Ball`s,
+its Σ|B|-entry `containing` lists and each ball's member tuple on first read.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count, islice
-from math import lcm
+from itertools import combinations, compress, count, groupby, islice
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -93,7 +93,10 @@ def as_rational(value: int | str | Fraction) -> Fraction:
             size = sum(map(str.isdigit, mantissa)) + shift
         if size > limit:
             raise ValueError(f"more than {limit} digits in its numerator or denominator")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:  # Fraction's message repeats the whole text, however long
+            raise ValueError("not an integer, decimal or p/q") from None
     if isinstance(value, float):
         raise TypeError(f"refusing float scalar {value!r}; use an integer, a decimal string, or p/q")
     raise TypeError(f"not a scalar: {value!r} ({type(value).__name__})")
@@ -181,12 +184,12 @@ class Ball:
 class BallFamily:
     """All distinct closed-ball member sets of a space, with per-point indices.
 
-    `balls[i]` is a representative (center, radius) realizing member set i,
-    with that set as its mask, listed by center, then radius, ascending.
-    `containing[x]` lists the family indices of sets containing x, ascending;
-    it is the one member-sized structure the family stores. `centered_at[x]`
-    lists family indices arising from balls centered at x, radii ascending.
-    Both sublists are deduplicated; `centered_at[x]` is always a subset of
+    Set i is `masks[i]`, realized by the ball of center `centers[i]` and
+    radius `radii[i]`, listed by center, then radius, ascending; `balls`
+    lists those `Ball`s. `containing[x]` lists the family indices of sets
+    containing x, ascending, Σ|B| = `member_total` entries in all; both are
+    built whole on first read. `centered_at[x]` lists family indices arising
+    from balls centered at x, radii ascending, deduplicated, a subset of
     `containing[x]`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p. `rows[c]` lists the points by distance from
@@ -195,19 +198,50 @@ class BallFamily:
     rows laid end to end, ball i's last point sits at `slots[i]`.
     """
 
-    balls: tuple[Ball, ...]
-    containing: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    centers: tuple[int, ...]
+    radii: tuple[Fraction, ...]
     centered_at: tuple[tuple[int, ...], ...]
     rank_of: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
     slots: tuple[int, ...]
+    member_total: int
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.masks)
 
     @property
     def n(self) -> int:
-        return len(self.containing)
+        return len(self.centered_at)
+
+    @cached_property
+    def _built(self) -> list[Ball | None]:
+        return [None] * len(self.masks)
+
+    def ball(self, i: int) -> Ball:
+        """`balls[i]`, built on its own on first read and kept."""
+        ball = self._built[i]
+        if ball is None:
+            ball = self._built[i] = Ball(self.centers[i], self.radii[i], self.masks[i])
+        return ball
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        return tuple(map(self.ball, range(len(self.masks))))
+
+    @cached_property
+    def containing(self) -> tuple[tuple[int, ...], ...]:
+        # The balls of a center are consecutive, each a longer prefix of its
+        # row: the points a ball adds lie in it and in every later one.
+        containing: list[list[int]] = [[] for _ in range(self.n)]
+        for c, group in groupby(range(len(self.masks)), self.centers.__getitem__):
+            ids, k0 = list(group), 0
+            for j, i in enumerate(ids):
+                later, k = ids[j:], self.masks[i].bit_count()  # ball i holds rows[c][:k]
+                for p in self.rows[c][k0:k]:
+                    containing[p] += later
+                k0 = k
+        return tuple(map(tuple, containing))
 
 
 @dataclass(frozen=True)
@@ -390,7 +424,10 @@ def line_space(
     rows = [[abs(a - b) for b in ints] for a in ints]
     fractions = {d: Fraction(d, scale) for d in set().union(*rows)}
     dist = tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
-    return FiniteMetricSpace(labels=tuple(labels), dist=dist)
+    space = FiniteMetricSpace(labels=tuple(labels), dist=dist)
+    g = gcd(scale, *fractions)  # the denominators are scale / gcd(scale, d); their lcm, scale / g
+    object.__setattr__(space, "int_dist", tuple(tuple([d // g for d in row]) for row in rows))
+    return space
 
 
 def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | None:
@@ -448,20 +485,20 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     """
     n = space.n
     dist = space.dist
-    found: list[tuple[int, tuple[int, ...], int]] = []  # per ball: center c, order, last k
     index_by_mask: dict[int, int] = {}
+    centers: list[int] = []
+    radii: list[Fraction] = []
     centered_at: list[list[int]] = [[] for _ in range(n)]
     rank: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     slots: list[int] = []
-    represented: list[list[int]] = []  # per center, `ends` below
     start = 0  # where rows[c] begins when the rows are laid end to end
+    member_total = 0
     bits = [1 << p for p in range(n)]
     for c, row in enumerate(space.int_dist):
         # sorted() is stable, so equal distances keep ascending point order
         order = tuple(sorted(range(n), key=row.__getitem__))
         position: dict[int, int] = {}  # distance -> index in centered_at[c]
-        ends: list[int] = []  # the last k of each ball c represents
         reach = 0  # size of the largest ball c represents so far
         mask = 0  # the members of the ball so far, bit p for point p
         k = 0
@@ -475,46 +512,27 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 mask |= bits[order[k]]
             idx = index_by_mask.get(mask)
             if idx is None:
-                idx = len(found)
+                idx = len(centers)
                 index_by_mask[mask] = idx
-                found.append((c, order, k))
+                centers.append(c)
+                radii.append(dist[c][order[k]])
                 slots.append(start + k)
-                ends.append(k)
                 reach = k + 1
+                member_total += reach
             centered_at[c].append(idx)
             k += 1
         rank.append(tuple(map(position.__getitem__, row)))
         rows.append(order[:reach])
-        represented.append(ends)
         start += reach
-    # The dict lists the masks in family order. The balls are built after the
-    # scan (built during it, they left the family's queries measurably slower),
-    # eagerly, and by position, which a frozen dataclass takes faster than keywords.
-    balls = tuple(
-        Ball(c, dist[c][order[k]], mask)
-        for (c, order, k), mask in zip(found, index_by_mask)
-    )
-    del index_by_mask
-    # The balls c represents are consecutive in the family, each a longer
-    # prefix of rows[c]: the points a ball adds lie in it and in every later one.
-    containing: list[list[int]] = [[] for _ in range(n)]
-    first = 0
-    for row, ends in zip(rows, represented):
-        ids = list(range(first, first + len(ends)))
-        k0 = 0
-        for j, k in enumerate(ends):
-            later = ids[j:]
-            for p in row[k0 : k + 1]:
-                containing[p] += later
-            k0 = k + 1
-        first += len(ends)
     return BallFamily(
-        balls=balls,
-        containing=tuple(tuple(s) for s in containing),
+        masks=tuple(index_by_mask),  # a dict lists its keys in insertion order: family order
+        centers=tuple(centers),
+        radii=tuple(radii),
         centered_at=tuple(tuple(s) for s in centered_at),
         rank_of=tuple(zip(*rank)),
         rows=tuple(rows),
         slots=tuple(slots),
+        member_total=member_total,
     )
 
 

@@ -62,6 +62,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_SMALL = tuple(map(Fraction, range(-9, 10)))  # phase 2's values, -9 to 9, built once
 
 GRID_DEMO_NOTE = (
     "finite-grid evidence: non-atomic measures have no exact finite "
@@ -211,7 +212,7 @@ def coincidence_randomized(
                 return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
     rng = random.Random(seed)
     for t in range(trials):
-        f = SampleFunction(tuple(Fraction(rng.randint(-9, 9)) for _ in range(space.n)))
+        f = SampleFunction(tuple(_SMALL[rng.randint(-9, 9) + 9] for _ in range(space.n)))
         gap = ball_measures.first_gap(f)
         if gap is not None:
             x, cv, nv = gap
@@ -252,19 +253,19 @@ def coincidence_exact(
     weights = mu.weights
     support = _nonempty_support(mu)
     support_mask = sum(1 << p for p in support)
-    balls = family.balls
+    masks, balls = family.masks, family.balls
     certificates: list[HullCertificate] = []
     for x in support:
         centered = family.centered_at[x]
         centered_set = set(centered)
         # traces[k]: the points of S of rank <= k from x; the last is all of S
-        traces = [balls[i].mask & support_mask for i in centered]
+        traces = [masks[i] & support_mask for i in centered]
         for j in family.containing[x]:
             ball = balls[j]
             if j in centered_set:
                 certificates.append(HullCertificate(x, ball, ball))
                 continue
-            trace = ball.mask & support_mask
+            trace = masks[j] & support_mask
             # the traces are nested, and the first that holds B ∩ S has rank R
             top = bisect_left(traces, True, key=lambda t: trace & ~t == 0)
             if trace == traces[top]:
@@ -273,7 +274,7 @@ def coincidence_exact(
             # the trace holds x, which has rank 0, so here top >= 1
             outer = trace & ~traces[top - 1]  # the points of B ∩ S of rank R
             far = _lowest_bit(outer)
-            q = _lowest_bit(traces[top] & ~ball.mask)
+            q = _lowest_bit(traces[top] & ~masks[j])
             ball_measures = _BallMeasures(family, mu)
             values = [_ZERO] * mu.n
             for p in _bit_indices(trace):

@@ -244,6 +244,16 @@ class TestDigitLimit:
         assert code == EXIT_INPUT_ERROR and out == ""
         assert err == _too_long(json.loads(token) if token.startswith('"') else token)
 
+    def test_junk_cell_gives_one_short_line(self, files, tmp_path):
+        # Fraction's own error repeats the whole literal; the line echoes 40 characters
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"weights": ["x" * 5000, 1, 1]}))
+        code, out, err = _run(["lemma22", "--space", str(files / "line3.json"), "--measure", str(path)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 120
+        shown = "x" * 40 + "…"
+        assert err == f"maxlab: input error: cannot parse scalar {shown!r}: not an integer, decimal or p/q\n"
+
     # each file passes the load-time bound, but a value the report derives from
     # them (an average over {0, 1}, the witness gap) has about twice the digits
     @pytest.mark.parametrize("subcommand", ["maximal", "coincide"])

@@ -326,8 +326,9 @@ def _line_grid(m):
     return line_space([Fraction(k, m) for k in range(2 * m + 1)])
 
 
-# (space, whether some point x has more containing balls than the space has
-# points, so that the non-centered argmax reads the n suffix winners)
+# (space, whether Σ|B| > n², so that a field's non-centered argmax reads the n
+# suffix winners; on these spaces that holds iff some point x has more
+# containing balls than the space has points, so that pair_masses sweeps)
 CANDIDATE_CASES = {
     "taxicab20": (lambda: gen_taxicab(20, dim=2, seed=11), True),
     "taxicab25": (lambda: gen_taxicab(25, dim=2, seed=12), True),
@@ -397,6 +398,48 @@ class TestCandidateLists:
         assert len(family.containing[2]) > space.n
         f = SampleFunction((0, 0, -1, 1, 0))
         _check_against_oracle(space, family, DiscreteMeasure(weights), f)
+
+
+class TestLazyFamily:
+    """The family builds its `Ball` objects and `containing` lists on first read."""
+
+    def test_field_builds_neither_balls_nor_containing(self):
+        space = gen_taxicab(30, seed=1)
+        family = enumerate_balls(space)
+        assert "balls" not in family.__dict__ and "containing" not in family.__dict__
+        assert family.member_total > space.n**2
+        mu = gen_measure(space, seed=2, zero_fraction=0.4)
+        f = gen_function(space, seed=3)
+        report = maximal_field(f, mu, space, family=family)
+        assert "balls" not in family.__dict__ and "containing" not in family.__dict__
+        table = oracle.argmax_table(space, mu, f)
+        assert tuple(e.point for e in report.points) == mu.support
+        for e in report.points:
+            assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
+            assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+
+    def test_ball_is_the_listed_ball(self):
+        family = enumerate_balls(gen_taxicab(12, seed=4))
+        first = family.ball(3)
+        balls = family.balls
+        assert balls[3] is first
+        assert all(family.ball(i) is ball for i, ball in enumerate(balls))
+
+    @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
+    def test_both_argmax_paths_give_one_report(self, case, monkeypatch):
+        build, wide = CANDIDATE_CASES[case]
+        space = build()
+        family = enumerate_balls(space)
+        # a field reads the per-center winners iff Σ|B| > n²
+        assert (family.member_total > space.n**2) == wide
+        seed = sum(map(ord, case))
+        mu = gen_measure(space, seed=seed, zero_fraction=0.4)
+        f = gen_function(space, seed=seed)
+        reports = []
+        for member_total in (space.n**2 + 1, 0):
+            monkeypatch.setitem(family.__dict__, "member_total", member_total)
+            reports.append(maximal_field(f, mu, space, family=family))
+        assert reports[0] == reports[1]
 
 
 def _check_pair_kernels(space, family, mu):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -220,6 +220,30 @@ class TestValidate:
         assert as_rational("1e4299") == 10**4299  # 4,300 digits: at the limit
         with pytest.raises(ValueError, match="digits"):
             validate_space([[0, "1e5000"], ["1e5000", 0]])
+
+    def test_junk_scalar_error_does_not_repeat_it(self):
+        with pytest.raises(ValueError) as exc:
+            as_rational("x" * 5000)
+        assert str(exc.value) == "not an integer, decimal or p/q"
+
+    # points (r + m k) / q share their residue mod m, a divisor of q, so the
+    # differences' gcd with the common denominator is often above 1
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.sampled_from([m for m in range(1, q + 1) if q % m == 0]),
+                st.integers(0, 59),
+                st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True),
+            )
+        )
+    )
+    @example((2, 2, 1, [0, 1]))  # 1/2 and 3/2: the common denominator 2 cancels
+    @settings(max_examples=200, deadline=None)
+    def test_line_space_integer_matrix(self, drawn):
+        q, m, r, ks = drawn
+        space = line_space([Fraction(r + m * k, q) for k in ks])
+        assert space.__dict__["int_dist"] == metric._integer_matrix(space.dist)
 
     def test_restrict(self, line3):
         sub = line3.restrict([0, 2])

@@ -411,9 +411,10 @@ class TestHullCertificateChecker:
         # `equal` where the operators differ
         family = enumerate_balls(line3)
         lost = {i for i, b in enumerate(family.balls) if b.members in ((0, 1), (1, 2))}
-        broken = replace(
-            family,
-            containing=tuple(tuple(i for i in row if i not in lost) for row in family.containing),
+        # `containing` is built on first read: seed the broken lists into a copy's cache
+        broken = replace(family)
+        broken.__dict__["containing"] = tuple(
+            tuple(i for i in row if i not in lost) for row in family.containing
         )
         verdict = coincidence_exact(line3, uniform3, family=broken)
         assert verdict.verdict == "equal"
