@@ -24,6 +24,9 @@ their member masks, only when two cross-products are equal.
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks,
 and the point-mass row of the pair audit (`pair_masses`) sweeps the balls
 containing p by ascending mass, writing only the points each one adds.
+
+`MaximalValue` and `PointMaximal` are named tuples, one per value and point
+of a field: built positionally, immutable, compared and hashed by field.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .measure import DiscreteMeasure, SampleFunction, _nonempty_support
 from .metric import Ball, BallFamily, FiniteMetricSpace, _scaled, enumerate_balls
@@ -48,16 +51,14 @@ __all__ = [
     "maximal_field",
 ]
 
-@dataclass(frozen=True)
-class MaximalValue:
+class MaximalValue(NamedTuple):
     """A maximal average together with a ball representative achieving it."""
 
     value: Fraction
     ball: Ball
 
 
-@dataclass(frozen=True)
-class PointMaximal:
+class PointMaximal(NamedTuple):
     point: int
     centered: MaximalValue
     noncentered: MaximalValue
@@ -211,7 +212,7 @@ class _BallMeasures:
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
         value = Fraction(sums[i] * factor.numerator, self._denominators[i] * factor.denominator)
-        return MaximalValue(value=value, ball=self.family.ball(i))
+        return MaximalValue(value, self.family.ball(i))
 
     def at(
         self, g: SampleFunction | DiscreteMeasure, x: int
@@ -287,11 +288,7 @@ class _BallMeasures:
         sums, factor = self._sums(f)
         return MaximalReport(
             points=tuple(
-                PointMaximal(
-                    point=x,
-                    centered=self._value(sums, factor, c),
-                    noncentered=self._value(sums, factor, nc),
-                )
+                PointMaximal(x, self._value(sums, factor, c), self._value(sums, factor, nc))
                 for x, c, nc in self._argmaxes(sums)
             )
         )

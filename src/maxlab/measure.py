@@ -1,9 +1,14 @@
-"""Discrete measures and sample functions on finite spaces, with exact ball integrals."""
+"""Discrete measures and sample functions on finite spaces, with exact ball integrals.
+
+A measure's `support` is computed on first read and kept with it, as a
+space keeps `int_dist`; equality and hashing still read only the weights.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .metric import Ball, FiniteMetricSpace, as_rational
@@ -38,8 +43,9 @@ class DiscreteMeasure:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
+        """The points of positive weight, ascending: derived on first read and kept."""
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
 
     @property

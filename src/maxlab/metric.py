@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count, groupby, islice
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "as_rational",
@@ -244,17 +244,26 @@ class BallFamily:
         return tuple(map(tuple, containing))
 
 
-@dataclass(frozen=True)
-class MidpointConfig:
-    """Points a, m, b with d(a,m) = d(m,b) = d(a,b)/2."""
-
+class _MidpointFields(NamedTuple):
     a: int
     m: int
     b: int
 
-    def __post_init__(self):
-        if self.a == self.b:
+
+class MidpointConfig(_MidpointFields):
+    """Points a, m, b with d(a,m) = d(m,b) = d(a,b)/2: a named tuple that rejects a == b."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, m: int, b: int) -> "MidpointConfig":
+        if a == b:
             raise ValueError("midpoint endpoints must differ")
+        return super().__new__(cls, a, m, b)
+
+    @classmethod
+    def _make(cls, iterable) -> "MidpointConfig":
+        # the inherited _make, which _replace calls too, would skip the check
+        return cls(*iterable)
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -561,5 +570,5 @@ def find_midpoint_configs(space: FiniteMetricSpace) -> list[MidpointConfig]:
             near_b = set(at_half[b].get(row[b], ()))
             for m in near_a:
                 if m in near_b:
-                    configs.append(MidpointConfig(a=a, m=m, b=b))
+                    configs.append(MidpointConfig(a, m, b))
     return configs

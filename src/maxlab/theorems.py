@@ -9,6 +9,11 @@ the line-grid demonstration where the two operators provably separate.
 
 Everything is exact rational arithmetic. Verdicts carry certificates that an
 independent checker can re-verify without trusting the decision.
+
+The records built once per row, `HullCertificate` and `PairBallCheck`, are
+named tuples, built positionally in the loops that emit them: one tuple per
+record, immutable, compared and hashed by field. A verdict or report that
+holds them, one per call, stays a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .maximal import MaximalValue, _BallMeasures
 from .measure import (
@@ -94,8 +99,7 @@ class Witness:
         return self.noncentered_value - self.centered_value
 
 
-@dataclass(frozen=True)
-class HullCertificate:
+class HullCertificate(NamedTuple):
     """A ball centered at `point` with the same trace on the support as a containing ball.
 
     Two balls with the same trace average every function alike, so the
@@ -356,8 +360,7 @@ def verify_hull_certificates(
     return covered == {(x, ball) for ball in set(members.values()) for x in ball & support}
 
 
-@dataclass(frozen=True)
-class PairBallCheck:
+class PairBallCheck(NamedTuple):
     """Ball-infimum audit of one ordered support pair (x, y)."""
 
     x: int
@@ -437,13 +440,7 @@ def check_ball_infimum(
             inf_m = least[y]
             rows.append(
                 PairBallCheck(
-                    x=x,
-                    y=y,
-                    measure_ball_y=measure(m_y),
-                    pair_infimum=measure(inf_m),
-                    measure_ball_x=measure(m_x),
-                    inequality_holds=m_y <= inf_m,
-                    symmetry_holds=m_y == m_x,
+                    x, y, measure(m_y), measure(inf_m), measure(m_x), m_y <= inf_m, m_y == m_x
                 )
             )
     return BallInfimumReport(pairs=tuple(rows))

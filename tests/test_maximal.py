@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import oracle
 from maxlab import (
     DiscreteMeasure,
+    MaximalValue,
+    PointMaximal,
     SampleFunction,
     ball_average,
     centered_maximal,
@@ -28,6 +30,21 @@ from maxlab import (
     validate_space,
 )
 from maxlab.maximal import _BallMeasures
+
+
+def check_record(record, fields):
+    """A result record: these fields in this order, immutable, equal and hashed by field."""
+    cls = type(record)
+    assert cls._fields == fields
+    values = tuple(getattr(record, name) for name in fields)
+    twin = cls(*values)  # positionally, in the field order
+    assert twin == record and hash(twin) == hash(record)
+    assert cls(**dict(zip(fields, values))) == twin
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
 
 
 # Pairwise coprime denominators, so that the lcm scaling of the integer
@@ -552,3 +569,19 @@ class TestMaskKernels:
         values = data.draw(st.lists(value, min_size=n, max_size=n))
         mu, f = DiscreteMeasure(tuple(weights)), SampleFunction(tuple(values))
         _check_against_oracle(space, enumerate_balls(space), mu, f)
+
+
+class TestRecords:
+    def test_point_maximal_and_maximal_value(self, line3, uniform3, ind2):
+        family = enumerate_balls(line3)
+        entry = maximal_field(ind2, uniform3, line3, family=family).at(1)
+        check_record(entry, ("point", "centered", "noncentered"))
+        check_record(entry.centered, ("value", "ball"))
+        # the family's representative of {0, 1, 2} is the first ball found, around 0
+        centered = MaximalValue(Fraction(1, 3), closed_ball(line3, 0, 2))
+        noncentered = MaximalValue(Fraction(1, 2), closed_ball(line3, 2, 1))
+        assert entry == PointMaximal(1, centered, noncentered)
+        # a field on a fresh family builds its own, equal records
+        again = maximal_field(ind2, uniform3, line3).at(1)
+        assert again == entry and hash(again) == hash(entry)
+        assert again.centered.ball is not entry.centered.ball

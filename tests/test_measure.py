@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,26 +51,47 @@ class TestConstruction:
             DiscreteMeasure((1, 1)).scaled(True)
 
     def test_empty_support_rejected(self, line3, ind2):
-        # the zero measure is a valid numerator nu, but no measure that divides
-        zero = DiscreteMeasure((0, 0, 0))
-        assert zero.support == () and zero.total == 0
+        # the zero measure is a valid numerator nu, but no measure that divides,
+        # whether or not its support has been read before
         family = enumerate_balls(line3)
         empty = CoincidenceVerdict("equal", "exact", certificates=())
         for call in (
-            lambda: maximal_field(ind2, zero, line3),
-            lambda: inf_ball_measure_pair(zero, family, 0, 1),
-            lambda: coincidence_exact(line3, zero),
-            lambda: coincidence_randomized(line3, zero, trials=0, seed=1),
-            lambda: verify_hull_certificates(line3, zero, empty),
-            lambda: check_ball_infimum(line3, zero),
+            lambda zero: maximal_field(ind2, zero, line3),
+            lambda zero: inf_ball_measure_pair(zero, family, 0, 1),
+            lambda zero: coincidence_exact(line3, zero),
+            lambda zero: coincidence_randomized(line3, zero, trials=0, seed=1),
+            lambda zero: verify_hull_certificates(line3, zero, empty),
+            lambda zero: check_ball_infimum(line3, zero),
         ):
-            with pytest.raises(ValueError, match="nonempty support"):
-                call()
+            for cached in (False, True):
+                zero = DiscreteMeasure((0, 0, 0))
+                if cached:
+                    assert zero.support == () and zero.total == 0
+                with pytest.raises(ValueError, match="nonempty support"):
+                    call(zero)
 
     def test_support(self):
         mu = DiscreteMeasure((1, 0, Fraction(1, 2)))
         assert mu.support == (0, 2)
         assert mu.total == Fraction(3, 2)
+
+    def test_support_kept_after_first_read(self):
+        mu = DiscreteMeasure((1, 0, 2))
+        first = mu.support
+        assert first == (0, 2) and mu.support is first
+
+    def test_cached_support_leaves_equality_alone(self):
+        read, unread = DiscreteMeasure((1, 0, 2)), DiscreteMeasure((1, 0, 2))
+        assert read.support == (0, 2)
+        assert "support" in vars(read) and "support" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert read != DiscreteMeasure((1, 0, 3))
+
+    def test_replaced_measure_has_its_own_support(self):
+        mu = DiscreteMeasure((1, 0, 2))
+        assert mu.support == (0, 2)
+        other = replace(mu, weights=(0, 3, 0))
+        assert other.support == (1,) and mu.support == (0, 2)
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from test_maximal import check_record
 from maxlab import metric
 from maxlab import (
     Ball,
     FiniteMetricSpace,
     MetricAxiomError,
+    MidpointConfig,
     as_rational,
     closed_ball,
     enumerate_balls,
@@ -472,6 +474,22 @@ class TestMidpoints:
 
     def test_equilateral_empty(self, eq3):
         assert find_midpoint_configs(eq3) == []
+
+    def test_record(self, line3):
+        (config,) = find_midpoint_configs(line3)
+        check_record(config, ("a", "m", "b"))
+        assert config == MidpointConfig(0, 1, 2)
+        assert config._replace(m=5) == MidpointConfig(0, 5, 2)
+
+    def test_equal_endpoints_rejected(self):
+        for build in (
+            lambda: MidpointConfig(1, 2, 1),
+            lambda: MidpointConfig(a=1, m=2, b=1),
+            lambda: MidpointConfig(0, 1, 2)._replace(b=0),
+            lambda: MidpointConfig._make((3, 1, 3)),
+        ):
+            with pytest.raises(ValueError, match="endpoints must differ"):
+                build()
 
     def test_grid5(self, grid5):
         got = {(c.a, c.m, c.b) for c in find_midpoint_configs(grid5)}

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import oracle
 from corpus import small_catalog, weight_grid
-from test_maximal import CANDIDATE_CASES
+from test_maximal import CANDIDATE_CASES, check_record
 from maxlab import (
     Ball,
     DiscreteMeasure,
     HullCertificate,
+    PairBallCheck,
     SampleFunction,
     Witness,
     build_grid_demo,
@@ -681,3 +682,31 @@ class TestGridDemo:
         with pytest.raises(ValueError, match="subdivisions"):
             build_grid_demo(1)
 
+
+class TestRecords:
+    def test_pair_ball_check(self, line3, eq3, uniform3):
+        row = check_ball_infimum(line3, uniform3).pair(2, 1)
+        check_record(
+            row,
+            (
+                "x", "y", "measure_ball_y", "pair_infimum",
+                "measure_ball_x", "inequality_holds", "symmetry_holds",
+            ),
+        )
+        assert row == PairBallCheck(2, 1, Q(3), Q(2), Q(2), False, False)
+        assert row.dirac_maximal == Q(1, 2) and not row.dirac_bound_holds
+        held = check_ball_infimum(eq3, uniform3).pair(0, 1)
+        assert held == PairBallCheck(0, 1, Q(3), Q(3), Q(3), True, True)
+        assert held.dirac_maximal == Q(1, 3) and held.dirac_bound_holds
+        again = check_ball_infimum(line3, uniform3).pair(2, 1)
+        assert again == row and hash(again) == hash(row)
+
+    def test_hull_certificate(self, eq3, uniform3):
+        verdict = coincidence_exact(eq3, uniform3)
+        cert = verdict.certificates[0]
+        check_record(cert, ("point", "ball", "centered_ball"))
+        assert cert == HullCertificate(0, cert.ball, cert.centered_ball)
+        # a fresh family builds its own balls, and equal certificates
+        again = coincidence_exact(eq3, uniform3).certificates
+        assert again == verdict.certificates and hash(again) == hash(verdict.certificates)
+        assert again[0].ball is not cert.ball
