@@ -16,14 +16,18 @@ Nothing is summed ball by ball: every ball mass and ball sum is one read,
 at `slots[i]`, of a prefix sum over the family's per-center `rows`. A field
 then reads suffix winners, winner [c][j] being the best ball of
 `centered_at[c][j:]`, in one walk that `field` and `first_gap` share. A
-one-point query builds no tables and scans `centered_at[x]` and
-`containing[x]`. Along one center the balls grow strictly, so a tie there
-goes to the earlier ball. Elsewhere two distinct balls are compared, on
-their member masks, only when two cross-products are equal.
+one-point query builds no winner tables and scans `centered_at[x]` and
+`family.holding(x)`, the balls containing x, found by one pass over the
+masks without the Σ|B|-entry `containing` table. Along one center the balls
+grow strictly, so a tie there goes to the earlier ball. Elsewhere two
+distinct balls are compared, on their member masks, only when two
+cross-products are equal.
 
-No kernel reads a `Ball` where `family.masks` serves: ties compare masks,
-and the point-mass row of the pair audit (`pair_masses`) sweeps the balls
-containing p by ascending mass, writing only the points each one adds.
+No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
+The point-mass row of the pair audit (`pair_masses`) takes the balls
+containing p by ascending mass. Where there are more of them than points, it
+sweeps them and writes only the points each one adds; otherwise it writes
+each one's members whole, largest ball first.
 
 `MaximalValue` and `PointMaximal` are named tuples, one per value and point
 of a field: built positionally, immutable, compared and hashed by field.
@@ -221,13 +225,14 @@ class _BallMeasures:
 
         g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
         One point does not pay for the winner tables, which cost a pass over
-        every center's balls: it scans its own two lists instead.
+        every center's balls, nor for the whole `containing` table: it scans
+        `centered_at[x]` and `holding(x)`, one pass over the masks.
         """
         self._require_support(x)
         family = self.family
         sums, factor = self._sums(g)
         centered = self._value(sums, factor, self._best(sums, family.centered_at[x]))
-        return centered, self._value(sums, factor, self._best(sums, family.containing[x]))
+        return centered, self._value(sums, factor, self._best(sums, family.holding(x)))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
         """The smallest measure of a ball holding x and y, ties to the smallest ball.

@@ -19,7 +19,8 @@ point with a guard bit on top (`_packed_lines`); one subtraction of such ints
 compares all n entries of a line with a threshold at once, and the guard bits
 that survive mark the entries at or above it. `enumerate_balls` deduplicates
 member sets on an int bitmask, bit p for point p; the family builds its `Ball`s,
-its Σ|B|-entry `containing` lists and each ball's member tuple on first read.
+its Σ|B|-entry `containing` lists and each ball's member tuple on first read,
+and `holding(x)` finds one point's list by a pass over the masks.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count, groupby, islice
+from itertools import combinations, compress, count, groupby, islice, repeat
 from math import gcd, lcm
+from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -188,9 +190,10 @@ class BallFamily:
     radius `radii[i]`, listed by center, then radius, ascending; `balls`
     lists those `Ball`s. `containing[x]` lists the family indices of sets
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
-    built whole on first read. `centered_at[x]` lists family indices arising
-    from balls centered at x, radii ascending, deduplicated, a subset of
-    `containing[x]`.
+    built whole on first read. `holding(x)` gives `containing[x]` alone, at
+    the cost of one pass over the masks. `centered_at[x]` lists family
+    indices arising from balls centered at x, radii ascending, deduplicated,
+    a subset of `containing[x]`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p. `rows[c]` lists the points by distance from
     c, ties by index, cut after the largest ball c represents; each ball c
@@ -242,6 +245,27 @@ class BallFamily:
                     containing[p] += later
                 k0 = k
         return tuple(map(tuple, containing))
+
+    @cached_property
+    def _held(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def holding(self, x: int) -> tuple[int, ...]:
+        """`containing[x]`, found on its own by one pass over the masks and kept.
+
+        Reads `containing` once it is built. Once the points scanned times the
+        number of balls reach Σ|B|, it builds the whole table instead, so a
+        loop over every point costs at most about twice the table.
+        """
+        if not 0 <= x < self.n:
+            raise IndexError(f"point {x} out of range")
+        held = self._held
+        found = held.get(x)
+        if found is None:
+            if "containing" in self.__dict__ or len(held) * len(self.masks) >= self.member_total:
+                return self.containing[x]
+            found = held[x] = tuple(compress(count(), map(and_, self.masks, repeat(1 << x))))
+        return found
 
 
 class _MidpointFields(NamedTuple):

@@ -304,10 +304,12 @@ def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:
     """Re-evaluate both maximal values from the distance matrix and compare with the stored ones.
 
     Shares nothing with the ball family or the maximal operators' kernel:
-    every closed ball around each center that holds the witness point, one
-    per distinct radius of the center's row, is re-derived with
-    `closed_ball` and averaged with `ball_average`. A witness at a point
-    outside the support never verifies.
+    around each center c, the closed balls that hold the witness point are
+    re-derived with `closed_ball` and averaged with `ball_average`, at the
+    radii d(c, p) with p in the support of mu and d(c, p) >= d(c, x) only.
+    A ball's average depends only on its trace on the support, which changes
+    only at those radii, so the maxima are those over every radius. A
+    witness at a point outside the support never verifies.
     """
     mu, f, x = witness.measure, witness.function, witness.point
     if not 0 <= x < space.n or mu.n != space.n or mu.weights[x] == 0:
@@ -315,7 +317,7 @@ def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:
 
     def best(center: int) -> Fraction:
         row = space.dist[center]
-        radii = (r for r in set(row) if r >= row[x])
+        radii = {row[p] for p in mu.support if row[p] >= row[x]}
         return max(ball_average(f, mu, closed_ball(space, center, r)) for r in radii)
 
     centered = best(x)

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 import oracle
 from maxlab import (
+    BallFamily,
     DiscreteMeasure,
     MaximalValue,
     PointMaximal,
     SampleFunction,
     ball_average,
+    build_grid_demo,
     centered_maximal,
     centered_maximal_measure,
+    check_lower_semicontinuity,
     closed_ball,
     dirac,
     enumerate_balls,
@@ -442,6 +445,37 @@ class TestLazyFamily:
         assert balls[3] is first
         assert all(family.ball(i) is ball for i, ball in enumerate(balls))
 
+    def test_one_point_queries_never_read_containing(self, monkeypatch):
+        def unbuilt(family):
+            raise AssertionError("the containing table was read")
+
+        monkeypatch.setattr(BallFamily, "containing", property(unbuilt))
+        report = build_grid_demo(8)
+        space, mu, f, x = report.space, report.mu, report.f, report.point
+        for centered, got in ((True, report.centered), (False, report.noncentered)):
+            assert (got.value, got.ball.members) == oracle.argmax_ball(space, mu, f, x, centered)
+        space = gen_taxicab(12, seed=6)
+        mu = gen_measure(space, seed=7, zero_fraction=0.3)
+        f = gen_function(space, seed=8)
+        for x in mu.support:
+            family = enumerate_balls(space)
+            for op, centered in ((centered_maximal, True), (noncentered_maximal, False)):
+                got = op(f, mu, family, x)
+                assert (got.value, got.ball.members) == oracle.argmax_ball(
+                    space, mu, f, x, centered
+                )
+        x = mu.support[0]
+        limit = gen_measure(space, seed=9, zero_fraction=0.3)
+        sequence = [
+            DiscreteMeasure(tuple(w + Fraction(1, k) for w in limit.weights)) for k in (1, 2, 4)
+        ]
+        report = check_lower_semicontinuity(mu, space, sequence, limit, x, Fraction(1, 4))
+        for nu, c, nc in zip(sequence, report.centered_values, report.noncentered_values):
+            assert c == oracle.ratio_value(space, mu, nu, x, True)[0]
+            assert nc == oracle.ratio_value(space, mu, nu, x, False)[0]
+        assert report.centered_limit == oracle.ratio_value(space, mu, limit, x, True)[0]
+        assert report.noncentered_limit == oracle.ratio_value(space, mu, limit, x, False)[0]
+
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_both_argmax_paths_give_one_report(self, case, monkeypatch):
         build, wide = CANDIDATE_CASES[case]
@@ -530,6 +564,31 @@ class TestFamilyLayout:
         ball_measures = _BallMeasures(family, mu)
         for ball, mass in zip(family.balls, ball_measures.masses):
             assert Fraction(mass, ball_measures.scale) == oracle.mass(mu, ball.members)
+
+    @given(layout_instances())
+    @example((gen_ultrametric(30, seed=14), DiscreteMeasure((1,) * 30)))
+    @settings(max_examples=80, deadline=None)
+    def test_holding_is_containing(self, inst):
+        space, _ = inst
+        family = enumerate_balls(space)
+        expected = enumerate_balls(space).containing
+        n, balls, total = space.n, len(family.masks), family.member_total
+        # before the table exists: one scan per point until the scans reach Σ|B|
+        for x in reversed(range(n)):
+            assert family.holding(x) == expected[x]
+        scanned = len(family._held)
+        assert (scanned - 1) * balls < total
+        if "containing" in family.__dict__:
+            # past the switch
+            assert scanned < n and scanned * balls >= total
+        else:
+            assert scanned == n
+        # read again, from the kept scans or the table, then from the built table
+        assert tuple(map(family.holding, range(n))) == expected
+        assert family.containing == expected
+        assert tuple(map(family.holding, range(n))) == expected
+        with pytest.raises(IndexError):
+            family.holding(n)
 
     def test_dendrogram_rows_stop_short(self):
         # a dendrogram has only 2n - 1 balls: most centers represent just their singleton

@@ -143,6 +143,34 @@ class TestWitnessChecker:
     def test_rejects_space_of_another_point_count(self, witness):
         assert not verify_witness(line_space([0, 1, 2, 3]), witness)
 
+    def test_taxicab40_witness(self):
+        # the witness measure's support has three points, so each center
+        # re-derives at most three balls of its row
+        space = gen_taxicab(40, seed=3)
+        witness = construct_witness(space, ultrametric_violation(space))
+        assert verify_witness(space, witness)
+        bad = replace(witness, centered_value=witness.centered_value + Q(1, 1000))
+        assert not verify_witness(space, bad)
+
+    @given(st.integers(3, 10), st.integers(0, 10**6), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_every_radius(self, n, seed, taxicab, sparse):
+        # stored values from the oracle, which averages a ball of every
+        # radius, under measures with weightless points
+        space = gen_taxicab(n, dim=2, seed=seed) if taxicab else gen_graph_metric(n, seed=seed)
+        mu = gen_measure(space, seed=seed, zero_fraction=0.4 if sparse else 0.0)
+        f = gen_function(space, seed=seed + 1)
+        table = oracle.argmax_table(space, mu, f)
+        gaps = [x for x in mu.support if table[x, False][0] > table[x, True][0]]
+        x = (gaps or mu.support)[0]
+        centered, noncentered = table[x, True][0], table[x, False][0]
+        if gaps:
+            assert verify_witness(space, Witness(mu, f, x, centered, noncentered))
+            moved = Witness(mu, f, x, centered, noncentered + Q(1, 1000))
+        else:
+            moved = Witness(mu, f, x, centered - Q(1, 1000), noncentered)
+        assert not verify_witness(space, moved)
+
 
 class TestCoincidenceRandomized:
     def test_line3_found_in_phase1(self, line3, uniform3):
