@@ -17,10 +17,9 @@ at `slots[i]`, of a prefix sum over the family's per-center `rows`. A field
 then reads suffix winners, winner [c][j] being the best ball of
 `centered_at[c][j:]`, in one walk that `field` and `first_gap` share. A
 one-point query builds no winner tables and scans `centered_at[x]` and
-`family.holding(x)`, the balls containing x, found by one pass over the
-masks without the Σ|B|-entry `containing` table. Along one center the balls
-grow strictly, so a tie there goes to the earlier ball. Elsewhere two
-distinct balls are compared, on their member masks, only when two
+`family.holding(x)`, not the Σ|B|-entry `containing` table. Along one center
+the balls grow strictly, so a tie there goes to the earlier ball. Elsewhere
+two distinct balls are compared, on their member masks, only when two
 cross-products are equal.
 
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
@@ -225,8 +224,7 @@ class _BallMeasures:
 
         g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
         One point does not pay for the winner tables, which cost a pass over
-        every center's balls, nor for the whole `containing` table: it scans
-        `centered_at[x]` and `holding(x)`, one pass over the masks.
+        every center's balls: it scans `centered_at[x]` and `holding(x)`.
         """
         self._require_support(x)
         family = self.family

@@ -19,8 +19,7 @@ point with a guard bit on top (`_packed_lines`); one subtraction of such ints
 compares all n entries of a line with a threshold at once, and the guard bits
 that survive mark the entries at or above it. `enumerate_balls` deduplicates
 member sets on an int bitmask, bit p for point p; the family builds its `Ball`s,
-its Σ|B|-entry `containing` lists and each ball's member tuple on first read,
-and `holding(x)` finds one point's list by a pass over the masks.
+its Σ|B|-entry `containing` lists and each ball's member tuple on first read.
 """
 
 from __future__ import annotations
@@ -190,10 +189,9 @@ class BallFamily:
     radius `radii[i]`, listed by center, then radius, ascending; `balls`
     lists those `Ball`s. `containing[x]` lists the family indices of sets
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
-    built whole on first read. `holding(x)` gives `containing[x]` alone, at
-    the cost of one pass over the masks. `centered_at[x]` lists family
-    indices arising from balls centered at x, radii ascending, deduplicated,
-    a subset of `containing[x]`.
+    built whole on first read, and `holding(x)` reads one list alone.
+    `centered_at[x]` lists family indices arising from balls centered at x,
+    radii ascending, deduplicated, a subset of `containing[x]`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p. `rows[c]` lists the points by distance from
     c, ties by index, cut after the largest ball c represents; each ball c
@@ -251,20 +249,14 @@ class BallFamily:
         return {}
 
     def holding(self, x: int) -> tuple[int, ...]:
-        """`containing[x]`, found on its own by one pass over the masks and kept.
-
-        Reads `containing` once it is built. Once the points scanned times the
-        number of balls reach Σ|B|, it builds the whole table instead, so a
-        loop over every point costs at most about twice the table.
-        """
+        """`containing[x]`, from the table if built, else by one pass over the masks, kept."""
         if not 0 <= x < self.n:
             raise IndexError(f"point {x} out of range")
-        held = self._held
-        found = held.get(x)
+        if "containing" in self.__dict__:
+            return self.containing[x]
+        found = self._held.get(x)
         if found is None:
-            if "containing" in self.__dict__ or len(held) * len(self.masks) >= self.member_total:
-                return self.containing[x]
-            found = held[x] = tuple(compress(count(), map(and_, self.masks, repeat(1 << x))))
+            found = self._held[x] = tuple(compress(count(), map(and_, self.masks, repeat(1 << x))))
         return found
 
 

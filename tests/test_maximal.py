@@ -572,18 +572,12 @@ class TestFamilyLayout:
         space, _ = inst
         family = enumerate_balls(space)
         expected = enumerate_balls(space).containing
-        n, balls, total = space.n, len(family.masks), family.member_total
-        # before the table exists: one scan per point until the scans reach Σ|B|
+        n = space.n
+        # before the table exists: one scan per point, none building the table
         for x in reversed(range(n)):
             assert family.holding(x) == expected[x]
-        scanned = len(family._held)
-        assert (scanned - 1) * balls < total
-        if "containing" in family.__dict__:
-            # past the switch
-            assert scanned < n and scanned * balls >= total
-        else:
-            assert scanned == n
-        # read again, from the kept scans or the table, then from the built table
+        assert "containing" not in family.__dict__
+        # read again, from the kept scans, then from the built table
         assert tuple(map(family.holding, range(n))) == expected
         assert family.containing == expected
         assert tuple(map(family.holding, range(n))) == expected
