@@ -4,7 +4,7 @@ Exit codes: 0 = success and, when --expect is given, the verdict matched;
 1 = a verified mathematical failure (an --expect mismatch, a failed
 validation, a witness request on a space where none can exist, or a broken
 finite-space bound); 2 = input errors (malformed files, dimension mismatches,
-invalid scalars).
+invalid scalars) and a report or generated file that cannot be written.
 
 Every report self-describes its inputs (path + sha256) and records the
 resolved seed verbatim. MAXLAB_SEED is used when --seed is absent.
@@ -13,8 +13,8 @@ resolved seed verbatim. MAXLAB_SEED is used when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import json
 import os
 import sys
 
@@ -161,15 +161,15 @@ def _cmd_gen(args, seed: int) -> dict:
         space = gen_graph_metric(args.n, edge_probability=args.edge_prob, seed=seed)
     emitted = {}
     if args.out:
-        mio.write_json(mio.space_to_json(space), args.out)
+        _write(mio.space_to_json(space), args.out)
         emitted["space"] = args.out
     if args.measure_out:
         mu = gen_measure(space, seed, zero_fraction=args.zero_fraction)
-        mio.write_json(mio.measure_to_json(mu), args.measure_out)
+        _write(mio.measure_to_json(mu), args.measure_out)
         emitted["measure"] = args.measure_out
     if args.fn_out:
         f = gen_function(space, seed)
-        mio.write_json(mio.function_to_json(f), args.fn_out)
+        _write(mio.function_to_json(f), args.fn_out)
         emitted["f"] = args.fn_out
     return {
         "family": args.family,
@@ -257,12 +257,23 @@ _HANDLERS = {
 }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    if out:
-        mio.write_json(report, out)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+class _Unwritable(Exception):
+    """A report or generated file that could not be written."""
+
+
+def _write(data: dict, out: str | None) -> None:
+    """mio.write_json to the path `out`, or to stdout when it is None; an OSError becomes
+    an _Unwritable naming the destination."""
+    try:
+        mio.write_json(data, out or sys.stdout)
+        if not out:
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out and isinstance(exc, BrokenPipeError):
+            # the reader is gone: stdout goes to devnull so the interpreter's last flush is silent
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _Unwritable(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from None
 
 
 @functools.cache
@@ -298,18 +309,21 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         seed = _resolve_seed(args)
-        result = _HANDLERS[args.subcommand](args, seed)
-    except MathFailure as exc:
-        if exc.result is not None:
-            _emit(envelope(exc.result), report_out)
+        try:
+            result = _HANDLERS[args.subcommand](args, seed)
+        except MathFailure as exc:
+            if exc.result is not None:
+                _write(envelope(exc.result), report_out)
+            print(f"maxlab: {exc}", file=sys.stderr)
+            return EXIT_MATH_FAILURE
+        _write(envelope(result), report_out)
+    except _Unwritable as exc:
         print(f"maxlab: {exc}", file=sys.stderr)
-        return EXIT_MATH_FAILURE
-    # InputFormatError and MetricAxiomError are ValueErrors
-    except (FileNotFoundError, IsADirectoryError, ValueError, KeyError) as exc:
+        return EXIT_INPUT_ERROR
+    # InputFormatError and MetricAxiomError are ValueErrors; an unreadable input is an OSError
+    except (OSError, ValueError, KeyError) as exc:
         print(f"maxlab: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-    _emit(envelope(result), report_out)
     return EXIT_OK
 
 

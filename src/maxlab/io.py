@@ -16,6 +16,12 @@ The loaders parse each distinct cell of a file once, in first-occurrence
 order, so an error names the first bad cell. A space's Fraction matrix and its
 lcm-scaled integer copy (`int_dist`) are both mapped from that table of
 distinct cells, and validation reads the integer copy.
+
+Every report and generated file leaves through `write_json`, to a path or a
+text stream, as exactly `json.dumps(data, indent=2)` plus a newline. A record
+(a container of scalars, or a dict of scalars and such containers) is encoded
+whole, its string and int lists joined in C; the levels above it are streamed
+one child at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +29,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from math import inf
+from os import PathLike
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator, TextIO
 
 from .measure import DiscreteMeasure, SampleFunction
 from .metric import Ball, BallFamily, FiniteMetricSpace, as_rational
@@ -281,17 +291,31 @@ def family_to_json(family: BallFamily, space: FiniteMetricSpace) -> dict:
 
 
 def maximal_report_to_json(report: MaximalReport, space: FiniteMetricSpace) -> list[dict]:
+    # a field repeats few values, and both operators often pick one ball: render each distinct
+    # value once, keyed without Fraction.__hash__, and list the labels of a shared ball once
+    labels, shown = space.labels, {}
+
+    def text(q: Fraction) -> tuple[str, str]:
+        key = q.numerator, q.denominator
+        if key not in shown:
+            shown[key] = scalar_str(q), scalar_decimal(q)
+        return shown[key]
+
     out = []
-    for entry in report.points:
+    for point, centered, noncentered in report.points:
+        (c, c_decimal), (nc, nc_decimal) = text(centered.value), text(noncentered.value)
+        ball = [labels[p] for p in centered.ball.members]
         out.append(
             {
-                "label": space.labels[entry.point],
-                "centered": scalar_str(entry.centered.value),
-                "centered_decimal": scalar_decimal(entry.centered.value),
-                "noncentered": scalar_str(entry.noncentered.value),
-                "noncentered_decimal": scalar_decimal(entry.noncentered.value),
-                "centered_ball": [space.labels[p] for p in entry.centered.ball.members],
-                "noncentered_ball": [space.labels[p] for p in entry.noncentered.ball.members],
+                "label": labels[point],
+                "centered": c,
+                "centered_decimal": c_decimal,
+                "noncentered": nc,
+                "noncentered_decimal": nc_decimal,
+                "centered_ball": ball,
+                "noncentered_ball": list(ball)
+                if noncentered.ball is centered.ball
+                else [labels[p] for p in noncentered.ball.members],
             }
         )
     return out
@@ -334,18 +358,24 @@ def verdict_to_json(verdict: CoincidenceVerdict, space: FiniteMetricSpace) -> di
 
 
 def ball_infimum_report_to_json(report: BallInfimumReport, space: FiniteMetricSpace) -> dict:
+    # the rows share few Fraction objects, one per distinct mass: render each once, keyed by
+    # identity, so that no row pays Fraction.__hash__ or the division behind dirac_maximal
+    values = {id(q): q for p in report.pairs for q in p[2:5]}
+    ratio = {k: scalar_str(q) for k, q in values.items()}
+    dirac = {k: scalar_str(1 / q) for k, q in values.items()}
+    labels = space.labels
     return {
         "all_inequalities_hold": report.all_inequalities_hold,
         "all_symmetric": report.all_symmetric,
         "all_dirac_bounds_hold": report.all_dirac_bounds_hold,
         "pairs": [
             {
-                "x": space.labels[p.x],
-                "y": space.labels[p.y],
-                "measure_ball_y": scalar_str(p.measure_ball_y),
-                "pair_infimum": scalar_str(p.pair_infimum),
-                "measure_ball_x": scalar_str(p.measure_ball_x),
-                "dirac_maximal": scalar_str(p.dirac_maximal),
+                "x": labels[p.x],
+                "y": labels[p.y],
+                "measure_ball_y": ratio[id(p.measure_ball_y)],
+                "pair_infimum": ratio[id(p.pair_infimum)],
+                "measure_ball_x": ratio[id(p.measure_ball_x)],
+                "dirac_maximal": dirac[id(p.pair_infimum)],
                 "inequality_holds": p.inequality_holds,
                 "symmetry_holds": p.symmetry_holds,
                 "dirac_bound_holds": p.dirac_bound_holds,
@@ -402,8 +432,84 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def write_json(data: Any, path: str | Path) -> None:
-    """Write data as indented JSON with a final newline, in one write."""
-    text = json.dumps(data, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+_NONFINITE = {inf: "Infinity", -inf: "-Infinity"}  # and NaN, which equals nothing
+# exact type -> its JSON text; a bool is not an int here, so no bool is written as 'True'
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda o: float.__repr__(o) if o - o == 0 else _NONFINITE.get(o, "NaN"),
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _scalar(o: Any) -> str:
+    for kind in (type(o), str, int, float):  # the exact type, else a subclass as its base
+        if kind in _SCALARS and isinstance(o, kind):
+            return _SCALARS[kind](o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    return encode_basestring_ascii(k if isinstance(k, str) else _scalar(k))
+
+
+def _whole(o: Any, pad: str, nested: bool = True) -> str | None:
+    """o as json.dumps(o, indent=2) writes it at indentation `pad` if o is a record: a scalar,
+    a container of scalars or, when `nested`, a dict of scalars and such containers."""
+    if not isinstance(o, (dict, list, tuple)):
+        return _scalar(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(o, dict):
+        texts = []
+        for v in o.values():
+            write = _SCALARS.get(type(v))
+            text = write(v) if write else _whole(v, inner, False) if nested else None
+            if text is None:
+                return None
+            texts.append(text)
+        try:  # string keys, in C
+            texts = list(map(": ".join, zip(map(encode_basestring_ascii, o), texts)))
+        except TypeError:
+            texts = list(map(": ".join, zip(map(_key, o), texts)))
+        ends = "{}"
+    else:
+        try:  # a string list, in C
+            texts = list(map(encode_basestring_ascii, o))
+        except TypeError:
+            kinds = set(map(type, o))
+            if not kinds <= _SCALARS.keys():
+                return None
+            texts = map(_SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar, o)
+        ends = "[]"
+    return f"{ends[0]}\n{inner}" + (",\n" + inner).join(texts) + f"\n{pad}{ends[1]}"
+
+
+def _pieces(o: dict | list | tuple, pad: str) -> Iterator[str]:
+    """json.dumps(o, indent=2) at indentation `pad`, for a container deeper than a record
+    (see _whole), one child at a time: each child record whole, each deeper child in pieces."""
+    inner, is_dict = pad + "  ", isinstance(o, dict)
+    lead = "{\n" if is_dict else "[\n"
+    for k, v in o.items() if is_dict else zip(repeat(None), o):
+        lead += f"{inner}{_key(k)}: " if is_dict else inner
+        text = _whole(v, inner)
+        yield lead if text is None else lead + text
+        if text is None:
+            yield from _pieces(v, inner)
+        lead = ",\n"
+    yield "\n" + pad + ("}" if is_dict else "]")
+
+
+def write_json(data: Any, path: str | PathLike | TextIO) -> None:
+    """Write json.dumps(data, indent=2) plus a newline to `path`, a file path or a text stream.
+
+    Each record is encoded whole, its string and int lists joined in C. The levels above
+    it go to the stream one child at a time, and its buffer writes them in blocks, so no
+    report's text is ever held whole."""
+    is_path = isinstance(path, (str, PathLike))
+    with open(path, "w", encoding="utf-8") if is_path else nullcontext(path) as fh:
+        text = _whole(data, "")
+        fh.writelines(_pieces(data, "") if text is None else (text,))
+        fh.write("\n")

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -969,3 +971,86 @@ class TestMalformedFuzz:
             code, out, err = _run(argv)
         assert code == EXIT_INPUT_ERROR
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Every subcommand but gen, with the documents it reads on the star with hub and
+# leaves l1, l2, l3 (not ultrametric, so witness finds a witness).
+STAR4_RUNS = {
+    "validate": ("space",),
+    "balls": ("space",),
+    "maximal": ("space", "measure", "fn"),
+    "coincide": ("space", "measure"),
+    "coincide-randomized": ("space", "measure"),
+    "witness": ("space",),
+    "lemma22": ("space", "measure"),
+    "lsc": ("space", "measure", "sequence"),
+    "demo-grid": (),
+}
+
+
+class TestReportDestinations:
+    """stdout and --out get the same bytes; an unwritable destination exits 2 with one line."""
+
+    @pytest.fixture()
+    def star4(self, tmp_path):
+        documents = {
+            "space": {
+                "labels": ["hub", "l1", "l2", "l3"],
+                "dist": [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]],
+            },
+            "measure": {"weights": [1, 2, 0, "1/2"]},
+            "fn": {"f": [0, 3, -1, "7/3"]},
+            "sequence": {
+                "sequence": [[1, 2, "1/2", "1/2"], [1, 2, "1/4", "1/2"]],
+                "limit": [1, 2, 0, "1/2"],
+                "point": "l1",
+                "deviation_bound": "1/2",
+            },
+        }
+        for role, document in documents.items():
+            mio.write_json(document, tmp_path / f"{role}.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("name", sorted(STAR4_RUNS))
+    def test_stdout_and_out_agree(self, star4, name):
+        argv = [name.split("-randomized")[0], "--seed", "3"]
+        argv += ["--mode", "randomized"] if name == "coincide-randomized" else []
+        argv += ["--n", "5"] if name == "demo-grid" else []
+        for role in STAR4_RUNS[name]:
+            argv += [f"--{role}", str(star4 / f"{role}.json")]
+        code, out, err = _run(argv)
+        assert code == EXIT_OK and err == "" and out.startswith("{\n")
+        report = star4 / "report.json"
+        assert _run(argv + ["--out", str(report)]) == (code, "", err)
+        assert report.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("where", ["missing folder", "a folder"])
+    def test_unwritable_out_exits_2(self, files, tmp_path, where):
+        dest = tmp_path / "missing" / "r.json" if where == "missing folder" else tmp_path
+        argv = ["maximal", "--space", str(files / "line3.json"), "--measure", str(files / "uniform.json")]
+        code, out, err = _run(argv + ["--fn", str(files / "ind2.json"), "--out", str(dest)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"maxlab: cannot write {dest}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--measure-out", "--fn-out"])
+    def test_gen_unwritable_file_exits_2(self, tmp_path, flag):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = _run(["gen", "--family", "taxicab", "--n", "4", flag, str(dest)])
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == f"maxlab: cannot write {dest}: No such file or directory\n"
+
+    def test_closed_stdout_exits_2(self, files):
+        # a reader that is gone before the report is written, as in `maxlab ... | head -c 0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = ["maximal", "--space", str(files / "line3.json"), "--measure", str(files / "uniform.json")]
+        env = {**os.environ, "PYTHONPATH": str(Path(mio.__file__).resolve().parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxlab.cli", *argv, "--fn", str(files / "ind2.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stderr.decode() == "maxlab: cannot write stdout: Broken pipe\n"
