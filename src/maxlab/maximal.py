@@ -22,6 +22,10 @@ the balls grow strictly, so a tie there goes to the earlier ball. Elsewhere
 two distinct balls are compared, on their member masks, only when two
 cross-products are equal.
 
+A point x is centered when every ball holding x is a ball around x, as in an
+ultrametric space. There no function separates the operators, so a field
+that would scan `containing[x]` takes the centered argmax for both instead.
+
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
 The point-mass row of the pair audit (`pair_masses`) takes the balls
 containing p by ascending mass. Where there are more of them than points, it
@@ -198,18 +202,23 @@ class _BallMeasures:
         `centered_at[c][rank_of[x][c]:]` over every center c, so the
         non-centered argmax is the best of the n winners [c][rank_of[x][c]],
         or of `containing[x]`, which a family with Σ|B| > n² never builds for
-        this. Both give the unique best ball by value, then `_precedes`.
+        this. Both give the unique best ball by value, then `_precedes`, which
+        along one center picks the smaller ball: so at a centered x, whose
+        balls are its centered ones, the centered argmax is the one candidate.
         """
         family = self.family
         winners = self._winners(sums)
         by_winners = family.member_total > family.n**2
+        off_center = () if by_winners else family.off_center
         for x, w in enumerate(self.weights):
             if not w:
                 continue
             if by_winners:
                 candidates: Iterable[int] = map(list.__getitem__, winners, family.rank_of[x])
-            else:
+            elif off_center[x]:
                 candidates = family.containing[x]
+            else:
+                candidates = winners[x][:1]
             yield x, winners[x][0], self._best(sums, candidates)
 
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
@@ -289,12 +298,12 @@ class _BallMeasures:
 
     def field(self, f: SampleFunction) -> MaximalReport:
         sums, factor = self._sums(f)
-        return MaximalReport(
-            points=tuple(
-                PointMaximal(x, self._value(sums, factor, c), self._value(sums, factor, nc))
-                for x, c, nc in self._argmaxes(sums)
-            )
-        )
+        points = []
+        for x, c, nc in self._argmaxes(sums):
+            centered = self._value(sums, factor, c)
+            noncentered = centered if nc == c else self._value(sums, factor, nc)
+            points.append(PointMaximal(x, centered, noncentered))
+        return MaximalReport(points=tuple(points))
 
     def first_gap(self, f: SampleFunction) -> tuple[int, MaximalValue, MaximalValue] | None:
         """The first support point where the non-centered value of f beats the centered one.

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count, groupby, islice, repeat
 from math import gcd, lcm
-from operator import and_
+from operator import and_, ne
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -191,7 +191,8 @@ class BallFamily:
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
     built whole on first read, and `holding(x)` reads one list alone.
     `centered_at[x]` lists family indices arising from balls centered at x,
-    radii ascending, deduplicated, a subset of `containing[x]`.
+    radii ascending, deduplicated, a subset of `containing[x]`: x is centered,
+    every ball holding it a ball around it, unless `off_center[x]`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p. `rows[c]` lists the points by distance from
     c, ties by index, cut after the largest ball c represents; each ball c
@@ -243,6 +244,10 @@ class BallFamily:
                     containing[p] += later
                 k0 = k
         return tuple(map(tuple, containing))
+
+    @cached_property
+    def off_center(self) -> tuple[bool, ...]:
+        return tuple(map(ne, map(len, self.containing), map(len, self.centered_at)))
 
     @cached_property
     def _held(self) -> dict[int, tuple[int, ...]]:

@@ -197,6 +197,9 @@ def coincidence_randomized(
     mu(B) <= mu(B(x, d(x,p*))) - mu(q) < mu(B(x, d(x,p*))): the indicator of
     p* separates the operators at x. So when they differ, phase 1 returns
     before phase 2 starts, and phase 2 can only end in `equal`.
+
+    A centered x, one where every ball holding x is a ball around x, has no
+    gap: phase 1 tests only the others, and with none it reads no pair row.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -205,10 +208,11 @@ def coincidence_randomized(
     ball_measures = _BallMeasures(family, mu)
     masses = ball_measures.masses
     support = mu.support
-    for p in support:
+    off_center = [x for x in support if family.off_center[x]]
+    for p in support if off_center else ():
         pair_masses = ball_measures.pair_masses(p)
         ranks = family.rank_of[p]
-        for x in support:
+        for x in off_center:
             if pair_masses[x] < masses[family.centered_at[x][ranks[x]]]:
                 f = normalized_indicator(space, (p,), mu)
                 cv, nv = ball_measures.at(f, x)
@@ -420,7 +424,8 @@ def check_ball_infimum(
 
     Every value is read off integer ball masses. B(y, d(x,y)) is the ball of
     rank rank_of[x][y] around y, and one `pair_masses(x)` row gives the pair
-    infimum of x with every y.
+    infimum of x with every y. At a centered x, where every ball holding x
+    is a ball around x, that infimum is measure(B(x,d)) and no row is read.
     """
     if family is None:
         family = enumerate_balls(space)
@@ -432,14 +437,15 @@ def check_ball_infimum(
     support = mu.support
     rows: list[PairBallCheck] = []
     for x in support:
-        least = ball_measures.pair_masses(x)
+        off_center = family.off_center[x]
+        least = ball_measures.pair_masses(x) if off_center else ()
         ranks_x = rank_of[x]
         for y in support:
             if y == x:
                 continue
             m_y = masses[centered_at[y][ranks_x[y]]]
             m_x = masses[centered_at[x][rank_of[y][x]]]
-            inf_m = least[y]
+            inf_m = least[y] if off_center else m_x
             rows.append(
                 PairBallCheck(
                     x, y, measure(m_y), measure(inf_m), measure(m_x), m_y <= inf_m, m_y == m_x

@@ -348,7 +348,9 @@ def _line_grid(m):
 
 # (space, whether Σ|B| > n², so that a field's non-centered argmax reads the n
 # suffix winners; on these spaces that holds iff some point x has more
-# containing balls than the space has points, so that pair_masses sweeps)
+# containing balls than the space has points, so that pair_masses sweeps).
+# The hop metric of a sparse graph mixes centered points (3, 10, 14, 17 and
+# 20, every ball holding one a ball around it) with off-center ones.
 CANDIDATE_CASES = {
     "taxicab20": (lambda: gen_taxicab(20, dim=2, seed=11), True),
     "taxicab25": (lambda: gen_taxicab(25, dim=2, seed=12), True),
@@ -358,6 +360,7 @@ CANDIDATE_CASES = {
     "grid10": (lambda: _line_grid(10), True),
     "dendrogram30a": (lambda: gen_ultrametric(30, seed=14), False),
     "dendrogram30b": (lambda: gen_ultrametric(30, seed=15), False),
+    "hops25": (lambda: gen_graph_metric(25, 0.05, weight_range=(1, 1), seed=115), False),
 }
 
 

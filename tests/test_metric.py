@@ -339,6 +339,28 @@ class TestUltrametricScan:
         assert oracle.ultrametric_violation(dist) is None
 
 
+class TestCenteredPoints:
+    # tied matrices draw off-diagonal entries in [1, 2], so each is a metric
+    @given(
+        st.one_of(
+            spaces,
+            tied_matrices().map(lambda d: FiniteMetricSpace(tuple(map(str, range(len(d)))), d)),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_off_center_matches_brute_force(self, space):
+        # x is centered iff every ball holding x is a ball around x. A
+        # normalized violation (x, y, z) gives B(y, d(x,y)), which holds x and
+        # misses z, while every ball around x that reaches y holds z; so no
+        # point is off center iff the space is ultrametric
+        family = enumerate_balls(space)
+        around = [{oracle.ball_members(space, x, r) for r in space.dist[x]} for x in range(space.n)]
+        balls = oracle.all_ball_sets(space)
+        expected = tuple(any(x in s and s not in around[x] for s in balls) for x in range(space.n))
+        assert family.off_center == expected
+        assert (not any(family.off_center)) == is_ultrametric(space)
+
+
 def _squared_grid(side: int) -> FiniteMetricSpace:
     """The side x side integer grid under squared Euclidean distance.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from corpus import small_catalog, weight_grid
 from test_maximal import CANDIDATE_CASES, check_record
+from maxlab.maximal import _BallMeasures
 from maxlab import (
     Ball,
     DiscreteMeasure,
@@ -546,6 +547,23 @@ class TestPointMassSearch:
         family = enumerate_balls(space)
         randomized = coincidence_randomized(space, mu, trials=0, seed=0, family=family)
         assert randomized.verdict == coincidence_exact(space, mu, family=family).verdict
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_centered_points_read_no_pair_row(self, seed, monkeypatch):
+        # every point of a dendrogram is centered: neither phase 1 nor the
+        # audit reads a pair_masses row, and both still match the oracle
+        space = gen_ultrametric(30, seed=seed)
+        mu = DiscreteMeasure(tuple(Q(1 + p % 3) if p % 7 == 3 else 0 for p in range(space.n)))
+        calls = []
+        pair_masses = _BallMeasures.pair_masses
+        monkeypatch.setattr(
+            _BallMeasures, "pair_masses", lambda self, p: calls.append(p) or pair_masses(self, p)
+        )
+        verdict = coincidence_randomized(space, mu, trials=0, seed=0)
+        assert oracle.coincides(space, mu.weights)
+        assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 0, None)
+        _check_audit_rows(space, mu)
+        assert calls == []
 
     def test_seeded_verdicts_pinned(self):
         space = gen_graph_metric(6, edge_probability=0.45, seed=2)
