@@ -7,7 +7,9 @@ implication from an `equal` coincidence verdict to the pairwise ball-infimum
 bounds, and the certificates of `equal` verdicts on non-ultrametric spaces
 under sparse measures, where some containing ball is certified by another
 ball centered at the point. Every generated space is also written as JSON and
-as CSV and loaded back. Everything is seeded; rerunning reproduces the numbers.
+as CSV and loaded back. Each non-ultrametric space, with one pair shortened so
+that a triangle breaks, has its `metric_violations` compared with a
+brute-force triple scan. Everything is seeded; rerunning reproduces the numbers.
 """
 
 import argparse
@@ -31,6 +33,7 @@ from maxlab import (
     gen_ultrametric,
     inf_ball_measure_pair,
     maximal_field,
+    metric_violations,
     noncentered_maximal_measure,
     ultrametric_violation,
     verify_hull_certificates,
@@ -50,6 +53,37 @@ def check_loaded(space) -> None:
             loaded = mio.load_space(path)
             assert loaded.labels == labels and loaded.dist == space.dist, path.name
             assert loaded.int_dist == space.int_dist, path.name
+
+
+def triangle_violations(dist) -> list[tuple[int, int, int]]:
+    """Every (i, j, k) with i < k, j apart from both and d(i,k) > d(i,j) + d(j,k), in (i, k, j) order."""
+    n = len(dist)
+    return [
+        (i, j, k)
+        for i in range(n)
+        for k in range(i + 1, n)
+        for j in range(n)
+        if j not in (i, k) and dist[i][k] > dist[i][j] + dist[j][k]
+    ]
+
+
+def check_shortened(space, triple) -> int:
+    """Shorten d(x, z) of an ultrametric violation (x, y, z) to half of d(z,y) - d(x,y).
+
+    Then d(z,y) > d(z,x) + d(x,y), so at least one triangle breaks. The
+    matrix stays symmetric with a zero diagonal and positive entries, so
+    `metric_violations` must list exactly the brute-force triangle scan.
+    Returns the number of violations.
+    """
+    x, y, z = triple
+    dist = [list(row) for row in space.dist]
+    dist[x][z] = dist[z][x] = (dist[z][y] - dist[x][y]) / 2
+    dist = tuple(map(tuple, dist))
+    expected = triangle_violations(dist)
+    got = metric_violations(dist)
+    assert expected, triple
+    assert [(v.axiom, v.indices) for v in got] == [("triangle", t) for t in expected], triple
+    return len(expected)
 
 
 def main() -> int:
@@ -83,6 +117,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     witnesses = 0
+    broken_triangles = 0
     identity_pairs = 0
     equal_verdicts = 0
     nontrivial = 0  # equal verdicts with a certificate (x, B, C), C != B
@@ -101,6 +136,7 @@ def main() -> int:
         triple = ultrametric_violation(space)
         if triple is None:
             continue
+        broken_triangles += check_shortened(space, triple)
         family = enumerate_balls(space)
         witness = construct_witness(space, triple)
         assert verify_witness(space, witness)
@@ -130,6 +166,10 @@ def main() -> int:
     )
     assert nontrivial, "no certificate named a ball other than the one it certifies"
     print(f"[files] {args.count + drawn} spaces loaded back from JSON and CSV unchanged")
+    print(
+        f"[validation] {witnesses} shortened spaces: {broken_triangles} triangle violations, "
+        "each list equal to the brute-force triple scan"
+    )
     return 0
 
 

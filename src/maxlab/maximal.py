@@ -14,13 +14,15 @@ averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 
 Nothing is summed ball by ball: every ball mass and ball sum is one read,
 at `slots[i]`, of a prefix sum over the family's per-center `rows`. A field
-then reads suffix winners, winner [c][j] being the best ball of
-`centered_at[c][j:]`, in one walk that `field` and `first_gap` share. A
-one-point query builds no winner tables and scans `centered_at[x]` and
-`family.holding(x)`, not the Σ|B|-entry `containing` table. Along one center
-the balls grow strictly, so a tie there goes to the earlier ball. Elsewhere
-two distinct balls are compared, on their member masks, only when two
-cross-products are equal.
+(`field` and `first_gap` share one walk) scans `centered_at[x]` and
+`containing[x]` at each support point x. Only where Σ|B| > n² does it build
+suffix winners instead, winner [c][j] being the best ball of
+`centered_at[c][j:]`, and never the `containing` table. A one-point query
+builds no winner tables and scans `centered_at[x]` and `family.holding(x)`,
+not the Σ|B|-entry `containing` table. Along one center the balls grow
+strictly, so a tie there goes to the earlier ball. Elsewhere two distinct
+balls are compared, on their member masks, only when two cross-products are
+equal.
 
 A point x is centered when every ball holding x is a ball around x, as in an
 ultrametric space. There no function separates the operators, so a field
@@ -159,7 +161,7 @@ class _BallMeasures:
         """Suffix winners: entry [c][j] is the argmax over `centered_at[c][j:]`.
 
         Along one center the balls grow strictly, so a tie goes to the
-        earlier, smaller ball.
+        earlier, smaller ball. Only a family with Σ|B| > n² builds them.
         """
         denominators = self._denominators
         table = []
@@ -198,28 +200,27 @@ class _BallMeasures:
     def _argmaxes(self, sums: list[int]) -> Iterator[tuple[int, int, int]]:
         """(x, centered argmax, non-centered argmax) at each support point x, ascending.
 
-        The centered argmax is the winner [x][0]. The balls containing x are
-        `centered_at[c][rank_of[x][c]:]` over every center c, so the
-        non-centered argmax is the best of the n winners [c][rank_of[x][c]],
-        or of `containing[x]`, which a family with Σ|B| > n² never builds for
-        this. Both give the unique best ball by value, then `_precedes`, which
-        along one center picks the smaller ball: so at a centered x, whose
-        balls are its centered ones, the centered argmax is the one candidate.
+        The balls containing x are `centered_at[c][rank_of[x][c]:]` over every
+        center c. A family with Σ|B| > n² builds the suffix winners: the
+        centered argmax is the winner [x][0], the non-centered one the best of
+        the n winners [c][rank_of[x][c]]. Any other family builds no winners:
+        it takes the best of `centered_at[x]` and of `containing[x]`, or at a
+        centered x, whose balls are its centered ones, the centered argmax for
+        both. Each way gives the unique best ball by value, then `_precedes`,
+        which along one center picks the smaller ball.
         """
         family = self.family
-        winners = self._winners(sums)
-        by_winners = family.member_total > family.n**2
-        off_center = () if by_winners else family.off_center
+        winners = self._winners(sums) if family.member_total > family.n**2 else None
         for x, w in enumerate(self.weights):
             if not w:
                 continue
-            if by_winners:
-                candidates: Iterable[int] = map(list.__getitem__, winners, family.rank_of[x])
-            elif off_center[x]:
-                candidates = family.containing[x]
+            if winners:
+                c = winners[x][0]
+                nc = self._best(sums, map(list.__getitem__, winners, family.rank_of[x]))
             else:
-                candidates = winners[x][:1]
-            yield x, winners[x][0], self._best(sums, candidates)
+                c = self._best(sums, family.centered_at[x])
+                nc = self._best(sums, family.containing[x]) if family.off_center[x] else c
+            yield x, c, nc
 
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""

@@ -17,16 +17,19 @@ run it only for a pair that fails a word-parallel pre-test. Each row and each
 column of the integer matrix is packed into one Python int, one byte field per
 point with a guard bit on top (`_packed_lines`); one subtraction of such ints
 compares all n entries of a line with a threshold at once, and the guard bits
-that survive mark the entries at or above it. `enumerate_balls` deduplicates
-member sets on an int bitmask, bit p for point p; the family builds its `Ball`s,
-its Σ|B|-entry `containing` lists and each ball's member tuple on first read.
+that survive mark the entries at or above it; the triangle pre-test adds
+`guards` to each packed column once, since no field of a sum of two lines
+reaches its guard bit. `enumerate_balls` deduplicates member sets on an int
+bitmask, bit p for point p; the family builds its `Ball`s, its Σ|B|-entry
+`containing` lists, its n² `rank_of` table and each ball's member tuple on
+first read.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count, groupby, islice, repeat
@@ -194,20 +197,23 @@ class BallFamily:
     radii ascending, deduplicated, a subset of `containing[x]`: x is centered,
     every ball holding it a ball around it, unless `off_center[x]`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
-    centered at c that holds p. `rows[c]` lists the points by distance from
-    c, ties by index, cut after the largest ball c represents; each ball c
-    represents holds exactly the first len(members) points of it. With the
-    rows laid end to end, ball i's last point sits at `slots[i]`.
+    centered at c that holds p: the rank of d(c, p) among the distinct
+    distances from c. It is built whole on first read from `int_dist`, the
+    space's integer matrix, which ==, hash and repr ignore. `rows[c]` lists
+    the points by distance from c, ties by index, cut after the largest ball
+    c represents; each ball c represents holds exactly the first
+    len(members) points of it. With the rows laid end to end, ball i's last
+    point sits at `slots[i]`.
     """
 
     masks: tuple[int, ...]
     centers: tuple[int, ...]
     radii: tuple[Fraction, ...]
     centered_at: tuple[tuple[int, ...], ...]
-    rank_of: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
     slots: tuple[int, ...]
     member_total: int
+    int_dist: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -215,6 +221,11 @@ class BallFamily:
     @property
     def n(self) -> int:
         return len(self.centered_at)
+
+    @cached_property
+    def rank_of(self) -> tuple[tuple[int, ...], ...]:
+        ranks = [map(dict(zip(sorted(set(row)), count())).__getitem__, row) for row in self.int_dist]
+        return tuple(zip(*ranks))
 
     @cached_property
     def _built(self) -> list[Ball | None]:
@@ -353,10 +364,11 @@ def _violations(
     A generator: a caller that stops taking violations stops the scan.
 
     The triangle check tests each pair (i, k) with i < k word-parallel first:
-    with D the integer copy, every guard bit of
-    ((row i + column k) | guards) - (D[i][k] + 2 offset) ones survives iff
-    D[i][j] + D[j][k] >= D[i][k] for every j. Only a pair that fails this runs
-    the exact scan over j.
+    with D the integer copy and each packed column lifted by `guards` once,
+    every guard bit of row i + lifted column k - (D[i][k] + 2 offset) ones
+    survives iff D[i][j] + D[j][k] >= D[i][k] for every j. No field of a sum
+    of two lines reaches its guard bit, so adding `guards` sets them all. Only
+    a pair that fails this runs the exact scan over j.
     """
     n = len(dist)
     for i in range(n):
@@ -377,13 +389,13 @@ def _violations(
             if scaled[i][j] <= 0:
                 yield MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
     rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    lifted = [col + guards for col in columns]
     for i, row in enumerate(scaled):
         packed = rows[i]
         for k in range(i + 1, n):
             # no shorter detour, no violation; the j = i, k detours (which only a
             # nonzero diagonal makes shorter) are skipped by the scan below
-            threshold = (row[k] + 2 * offset) * ones
-            if (((packed + columns[k]) | guards) - threshold) & guards == guards:
+            if (packed + lifted[k] - (row[k] + 2 * offset) * ones) & guards == guards:
                 continue
             for j in range(n):
                 if j == i or j == k:
@@ -519,7 +531,6 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     centers: list[int] = []
     radii: list[Fraction] = []
     centered_at: list[list[int]] = [[] for _ in range(n)]
-    rank: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     slots: list[int] = []
     start = 0  # where rows[c] begins when the rows are laid end to end
@@ -528,14 +539,12 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     for c, row in enumerate(space.int_dist):
         # sorted() is stable, so equal distances keep ascending point order
         order = tuple(sorted(range(n), key=row.__getitem__))
-        position: dict[int, int] = {}  # distance -> index in centered_at[c]
         reach = 0  # size of the largest ball c represents so far
         mask = 0  # the members of the ball so far, bit p for point p
         k = 0
         while k < n:
             r = row[order[k]]
             # each radius adds the points at that distance, so the sets grow strictly
-            position[r] = len(centered_at[c])
             mask |= bits[order[k]]
             while k + 1 < n and row[order[k + 1]] == r:
                 k += 1
@@ -551,7 +560,6 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 member_total += reach
             centered_at[c].append(idx)
             k += 1
-        rank.append(tuple(map(position.__getitem__, row)))
         rows.append(order[:reach])
         start += reach
     return BallFamily(
@@ -559,10 +567,10 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
         centers=tuple(centers),
         radii=tuple(radii),
         centered_at=tuple(tuple(s) for s in centered_at),
-        rank_of=tuple(zip(*rank)),
         rows=tuple(rows),
         slots=tuple(slots),
         member_total=member_total,
+        int_dist=space.int_dist,
     )
 
 

@@ -15,8 +15,11 @@ from maxlab import (
     build_grid_demo,
     centered_maximal,
     centered_maximal_measure,
+    check_ball_infimum,
     check_lower_semicontinuity,
     closed_ball,
+    coincidence_exact,
+    coincidence_randomized,
     dirac,
     enumerate_balls,
     gen_function,
@@ -440,6 +443,43 @@ class TestLazyFamily:
         for e in report.points:
             assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
             assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_ultrametric_queries_build_no_winners_and_no_ranks(self, seed, monkeypatch):
+        calls = []
+        winners = _BallMeasures._winners
+
+        def counted(self, sums):
+            calls.append(sums)
+            return winners(self, sums)
+
+        monkeypatch.setattr(_BallMeasures, "_winners", counted)
+        space = gen_ultrametric(30, seed=seed)
+        family = enumerate_balls(space)
+        assert family.member_total <= space.n**2
+        mu = gen_measure(space, seed=seed, zero_fraction=0.0)
+        assert len(mu.support) == space.n
+        f = gen_function(space, seed=seed)
+        report = maximal_field(f, mu, space, family=family)
+        assert coincidence_exact(space, mu, family=family).verdict == "equal"
+        assert coincidence_randomized(space, mu, 6, seed, family=family).verdict == "equal"
+        assert "rank_of" not in family.__dict__
+        assert calls == []
+        table = oracle.argmax_table(space, mu, f)
+        for e in report.points:
+            assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
+            assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+        # the audit reads the ranks: the rank of d(c, p) among c's distinct distances
+        check_ball_infimum(space, mu, family=family)
+        n, dist = space.n, space.dist
+        expected = tuple(
+            tuple(sorted(set(dist[c])).index(dist[c][p]) for c in range(n)) for p in range(n)
+        )
+        assert family.rank_of == expected
+        other = enumerate_balls(space)
+        assert "rank_of" not in other.__dict__
+        assert other == family and hash(other) == hash(family)
+        assert "int_dist" not in repr(family)
 
     def test_ball_is_the_listed_ball(self):
         family = enumerate_balls(gen_taxicab(12, seed=4))
