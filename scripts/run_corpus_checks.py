@@ -9,16 +9,25 @@ under sparse measures, where some containing ball is certified by another
 ball centered at the point. Every generated space is also written as JSON and
 as CSV and loaded back. Each non-ultrametric space, with one pair shortened so
 that a triangle breaks, has its `metric_violations` compared with a
-brute-force triple scan. Everything is seeded; rerunning reproduces the numbers.
+brute-force triple scan. On hop metrics of sparse graphs, where centered and
+off-center points mix, the field at a seeded sample of support points and a
+seeded sample of the pair-audit rows are compared with the brute-force
+oracle of `tests/oracle.py`. Everything is seeded; rerunning reproduces the
+numbers.
 """
 
 import argparse
+import random
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracle
 
 from maxlab import (
     check_ball_infimum,
@@ -84,6 +93,32 @@ def check_shortened(space, triple) -> int:
     assert expected, triple
     assert [(v.axiom, v.indices) for v in got] == [("triangle", t) for t in expected], triple
     return len(expected)
+
+
+def check_hops(space, seed: int) -> bool:
+    """The field and the pair audit of a hop metric against the oracle, at seeded samples.
+
+    Checks `maximal_field` at three support points and three rows of
+    `check_ball_infimum`. Returns whether the space has an off-center point
+    while Σ|B| <= n², the case whose field takes the suffix winners.
+    """
+    rng = random.Random(seed)
+    family = enumerate_balls(space)
+    mu = gen_measure(space, seed=seed, zero_fraction=0.3)
+    f = gen_function(space, seed=seed + 1)
+    report = maximal_field(f, mu, space, family=family)
+    for x in rng.sample(mu.support, min(3, len(mu.support))):
+        entry = report.at(x)
+        for got, centered in ((entry.centered, True), (entry.noncentered, False)):
+            assert (got.value, got.ball.members) == oracle.argmax_ball(space, mu, f, x, centered), x
+    rows = check_ball_infimum(space, mu, family=family).pairs
+    for row in rng.sample(rows, min(3, len(rows))):
+        x, y, d = row.x, row.y, space.dist[row.x][row.y]
+        assert row.measure_ball_y == oracle.mass(mu, oracle.ball_members(space, y, d)), (x, y)
+        assert row.measure_ball_x == oracle.mass(mu, oracle.ball_members(space, x, d)), (x, y)
+        assert row.pair_infimum == oracle.inf_pair_measure(space, mu, x, y), (x, y)
+        assert row.dirac_maximal == oracle.dirac_maximal(space, mu, x, y), (x, y)
+    return sum(map(len, family.centered_at)) < family.member_total <= space.n**2
 
 
 def main() -> int:
@@ -169,6 +204,18 @@ def main() -> int:
     print(
         f"[validation] {witnesses} shortened spaces: {broken_triangles} triangle violations, "
         "each list equal to the brute-force triple scan"
+    )
+
+    t0 = time.perf_counter()
+    small = 0  # spaces with an off-center point and Σ|B| <= n²
+    for k in range(args.count):
+        n = 3 + (k % (args.max_n - 2))
+        p = (0.03, 0.05, 0.1)[k % 3]
+        space = gen_graph_metric(n, p, weight_range=(1, 1), seed=base + 500 + k)
+        small += check_hops(space, base + 600 + k)
+    print(
+        f"[hop metrics] {args.count} spaces, {small} with off-center points and sum |B| <= n^2: "
+        f"sampled field points and audit rows match the oracle ({time.perf_counter() - t0:.2f}s)"
     )
     return 0
 

@@ -33,7 +33,6 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from math import inf
 from os import PathLike
 from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO
@@ -432,25 +431,24 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-_NONFINITE = {inf: "Infinity", -inf: "-Infinity"}  # and NaN, which equals nothing
 # exact type -> its JSON text; a bool is not an int here, so no bool is written as 'True'
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda o: float.__repr__(o) if o - o == 0 else _NONFINITE.get(o, "NaN"),
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda o: "null",
 }
 
 
 def _scalar(o: Any) -> str:
-    for kind in (type(o), str, int, float):  # the exact type, else a subclass as its base
-        if kind in _SCALARS and isinstance(o, kind):
-            return _SCALARS[kind](o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    """o as JSON text: by the table for its exact type, else (a float, a subclass) by json.dumps."""
+    write = _SCALARS.get(type(o))
+    return write(o) if write else json.dumps(o)
 
 
 def _key(k: Any) -> str:
+    if not isinstance(k, (str, int, float, type(None))):  # json.dumps would write (1, 2) whole
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
     return encode_basestring_ascii(k if isinstance(k, str) else _scalar(k))
 
 

@@ -13,26 +13,22 @@ averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 `Fraction` is built only for the value returned. No float ever enters.
 
 Nothing is summed ball by ball: every ball mass and ball sum is one read,
-at `slots[i]`, of a prefix sum over the family's per-center `rows`. A field
-(`field` and `first_gap` share one walk) scans `centered_at[x]` and
-`containing[x]` at each support point x. Only where Σ|B| > n² does it build
-suffix winners instead, winner [c][j] being the best ball of
-`centered_at[c][j:]`, and never the `containing` table. A one-point query
-builds no winner tables and scans `centered_at[x]` and `family.holding(x)`,
-not the Σ|B|-entry `containing` table. Along one center the balls grow
-strictly, so a tie there goes to the earlier ball. Elsewhere two distinct
-balls are compared, on their member masks, only when two cross-products are
-equal.
+at `slots[i]`, of a prefix sum over the family's per-center `rows`.
 
-A point x is centered when every ball holding x is a ball around x, as in an
-ultrametric space. There no function separates the operators, so a field
-that would scan `containing[x]` takes the centered argmax for both instead.
+One path per question. A point x is centered when every ball holding x is a
+ball around x, as in an ultrametric space; there no function separates the
+operators. Every point is centered iff Σ|B| equals the total length of
+`centered_at`. A field (`field` and `first_gap` share one walk) then takes
+the centered argmax for both operators, and otherwise builds suffix winners,
+winner [c][j] being the best ball of `centered_at[c][j:]`. A one-point query
+builds no winner tables and scans `centered_at[x]` and `family.holding(x)`.
+Along one center the balls grow strictly, so a tie there goes to the earlier
+ball. Elsewhere two distinct balls are compared, on their member masks, only
+when two cross-products are equal.
 
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
-The point-mass row of the pair audit (`pair_masses`) takes the balls
-containing p by ascending mass. Where there are more of them than points, it
-sweeps them and writes only the points each one adds; otherwise it writes
-each one's members whole, largest ball first.
+The point-mass row of the pair audit (`pair_masses`) sweeps the balls
+containing p by ascending mass and writes only the points each one adds.
 
 `MaximalValue` and `PointMaximal` are named tuples, one per value and point
 of a field: built positionally, immutable, compared and hashed by field.
@@ -161,7 +157,7 @@ class _BallMeasures:
         """Suffix winners: entry [c][j] is the argmax over `centered_at[c][j:]`.
 
         Along one center the balls grow strictly, so a tie goes to the
-        earlier, smaller ball. Only a family with Σ|B| > n² builds them.
+        earlier, smaller ball. Only a family with an off-center point builds them.
         """
         denominators = self._denominators
         table = []
@@ -200,17 +196,19 @@ class _BallMeasures:
     def _argmaxes(self, sums: list[int]) -> Iterator[tuple[int, int, int]]:
         """(x, centered argmax, non-centered argmax) at each support point x, ascending.
 
-        The balls containing x are `centered_at[c][rank_of[x][c]:]` over every
-        center c. A family with Σ|B| > n² builds the suffix winners: the
-        centered argmax is the winner [x][0], the non-centered one the best of
-        the n winners [c][rank_of[x][c]]. Any other family builds no winners:
-        it takes the best of `centered_at[x]` and of `containing[x]`, or at a
-        centered x, whose balls are its centered ones, the centered argmax for
-        both. Each way gives the unique best ball by value, then `_precedes`,
-        which along one center picks the smaller ball.
+        One path per family. Σ|B| counts each point once per ball holding it,
+        and the balls around x are among those, so Σ|B| exceeds the total
+        length of `centered_at` iff some ball holds a point it is no ball
+        around. Then the suffix winners serve: the balls holding x are
+        `centered_at[c][rank_of[x][c]:]` over every center c, the centered
+        argmax is the winner [x][0] and the non-centered one the best of the n
+        winners [c][rank_of[x][c]]. Otherwise every ball holding x is a ball
+        around x, and the centered argmax serves for both. Each way gives the
+        unique best ball by value, then `_precedes`.
         """
         family = self.family
-        winners = self._winners(sums) if family.member_total > family.n**2 else None
+        centered_only = family.member_total == sum(map(len, family.centered_at))
+        winners = None if centered_only else self._winners(sums)
         for x, w in enumerate(self.weights):
             if not w:
                 continue
@@ -218,8 +216,7 @@ class _BallMeasures:
                 c = winners[x][0]
                 nc = self._best(sums, map(list.__getitem__, winners, family.rank_of[x]))
             else:
-                c = self._best(sums, family.centered_at[x])
-                nc = self._best(sums, family.containing[x]) if family.off_center[x] else c
+                c = nc = self._best(sums, family.centered_at[x])
             yield x, c, nc
 
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
@@ -266,35 +263,26 @@ class _BallMeasures:
     def pair_masses(self, p: int) -> list[int]:
         """For every point x, the smallest scaled measure of a ball holding both p and x.
 
-        Where p lies in more balls than there are points, a sweep over them by
-        ascending mass gives each point the mass of the first ball that covers
-        it: it writes only the points a ball adds to those already covered, n
-        writes in all, and stops once every point is covered. With fewer
-        balls, every ball adds points anyway, and they are written whole.
+        One sweep over the balls containing p by ascending mass gives each
+        point the mass of the first ball that covers it: it writes only the
+        points a ball adds to those already covered, n writes in all, and
+        stops once every point is covered. It reads masks, never a `Ball`.
         """
         family, masses = self.family, self.masses
         n, masks = family.n, family.masks
-        containing = sorted(family.containing[p], key=masses.__getitem__)
         row = [0] * n
-        if len(containing) > n:
-            covered, everything = 0, (1 << n) - 1
-            for i in containing:
-                new = masks[i] & ~covered
-                if new:
-                    covered |= new
-                    m = masses[i]
-                    while new:
-                        low = new & -new
-                        row[low.bit_length() - 1] = m
-                        new ^= low
-                    if covered == everything:
-                        break
-            return row
-        # largest balls first, so each point keeps the smallest mass written to it
-        for i in reversed(containing):
-            m = masses[i]
-            for x in family.balls[i].members:
-                row[x] = m
+        covered, everything = 0, (1 << n) - 1
+        for i in sorted(family.containing[p], key=masses.__getitem__):
+            new = masks[i] & ~covered
+            if new:
+                covered |= new
+                m = masses[i]
+                while new:
+                    low = new & -new
+                    row[low.bit_length() - 1] = m
+                    new ^= low
+                if covered == everything:
+                    break
         return row
 
     def field(self, f: SampleFunction) -> MaximalReport:

@@ -192,10 +192,12 @@ class BallFamily:
     radius `radii[i]`, listed by center, then radius, ascending; `balls`
     lists those `Ball`s. `containing[x]` lists the family indices of sets
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
-    built whole on first read, and `holding(x)` reads one list alone.
+    built whole on first read. One path per question: `holding(x)` always
+    finds one list alone, by a pass over the masks.
     `centered_at[x]` lists family indices arising from balls centered at x,
     radii ascending, deduplicated, a subset of `containing[x]`: x is centered,
-    every ball holding it a ball around it, unless `off_center[x]`.
+    every ball holding it a ball around it, unless `off_center[x]`. So every
+    point is centered iff `member_total` is the total length of `centered_at`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p: the rank of d(c, p) among the distinct
     distances from c. It is built whole on first read from `int_dist`, the
@@ -265,11 +267,9 @@ class BallFamily:
         return {}
 
     def holding(self, x: int) -> tuple[int, ...]:
-        """`containing[x]`, from the table if built, else by one pass over the masks, kept."""
+        """`containing[x]` by one pass over the masks, kept: one path, whatever is built."""
         if not 0 <= x < self.n:
             raise IndexError(f"point {x} out of range")
-        if "containing" in self.__dict__:
-            return self.containing[x]
         found = self._held.get(x)
         if found is None:
             found = self._held[x] = tuple(compress(count(), map(and_, self.masks, repeat(1 << x))))

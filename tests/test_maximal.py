@@ -349,11 +349,10 @@ def _line_grid(m):
     return line_space([Fraction(k, m) for k in range(2 * m + 1)])
 
 
-# (space, whether Σ|B| > n², so that a field's non-centered argmax reads the n
-# suffix winners; on these spaces that holds iff some point x has more
-# containing balls than the space has points, so that pair_masses sweeps).
-# The hop metric of a sparse graph mixes centered points (3, 10, 14, 17 and
-# 20, every ball holding one a ball around it) with off-center ones.
+# (space, whether some point is off center, held by a ball that is no ball
+# around it, so that a field's non-centered argmax reads the n suffix
+# winners). The hop metric of a sparse graph mixes centered points (3, 10,
+# 14, 17 and 20, every ball holding one a ball around it) with off-center ones.
 CANDIDATE_CASES = {
     "taxicab20": (lambda: gen_taxicab(20, dim=2, seed=11), True),
     "taxicab25": (lambda: gen_taxicab(25, dim=2, seed=12), True),
@@ -363,7 +362,7 @@ CANDIDATE_CASES = {
     "grid10": (lambda: _line_grid(10), True),
     "dendrogram30a": (lambda: gen_ultrametric(30, seed=14), False),
     "dendrogram30b": (lambda: gen_ultrametric(30, seed=15), False),
-    "hops25": (lambda: gen_graph_metric(25, 0.05, weight_range=(1, 1), seed=115), False),
+    "hops25": (lambda: gen_graph_metric(25, 0.05, weight_range=(1, 1), seed=115), True),
 }
 
 
@@ -391,8 +390,8 @@ def _check_against_oracle(space, family, mu, f):
 class TestCandidateLists:
     """Seeded spaces large enough for both non-centered candidate lists.
 
-    Where containing[x] is longer than the space, the argmax reads the n
-    per-center suffix winners; elsewhere it scans containing[x]. The
+    Where some point is off center, the argmax reads the n per-center
+    suffix winners; elsewhere the centered argmax serves for both. The
     measures include weightless points, and the 0/1 functions tie many
     balls, so both the lazy (size, members) comparison and the zero-mass
     balls are reached.
@@ -400,14 +399,13 @@ class TestCandidateLists:
 
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_matches_oracle(self, case):
-        build, wide = CANDIDATE_CASES[case]
+        build, off_center = CANDIDATE_CASES[case]
         space = build()
         family = enumerate_balls(space)
+        assert any(family.off_center) == off_center
         seed = sum(map(ord, case))
         for zero_fraction in (0.0, 0.4):
             mu = gen_measure(space, seed=seed, zero_fraction=zero_fraction)
-            reaches_winners = any(len(family.containing[x]) > space.n for x in mu.support)
-            assert reaches_winners == wide
             ball_measures = _BallMeasures(family, mu)
             for ball, mass in zip(family.balls, ball_measures.masses):
                 assert Fraction(mass, ball_measures.scale) == oracle.mass(mu, ball.members)
@@ -421,7 +419,7 @@ class TestCandidateLists:
         # {0,1,2,3} and the whole line all average 0: {1,2,3} must win
         space = line_space([0, 1, 2, 3, 4])
         family = enumerate_balls(space)
-        assert len(family.containing[2]) > space.n
+        assert family.off_center[2]
         f = SampleFunction((0, 0, -1, 1, 0))
         _check_against_oracle(space, family, DiscreteMeasure(weights), f)
 
@@ -433,7 +431,7 @@ class TestLazyFamily:
         space = gen_taxicab(30, seed=1)
         family = enumerate_balls(space)
         assert "balls" not in family.__dict__ and "containing" not in family.__dict__
-        assert family.member_total > space.n**2
+        assert family.member_total > sum(map(len, family.centered_at))
         mu = gen_measure(space, seed=2, zero_fraction=0.4)
         f = gen_function(space, seed=3)
         report = maximal_field(f, mu, space, family=family)
@@ -456,7 +454,7 @@ class TestLazyFamily:
         monkeypatch.setattr(_BallMeasures, "_winners", counted)
         space = gen_ultrametric(30, seed=seed)
         family = enumerate_balls(space)
-        assert family.member_total <= space.n**2
+        assert family.member_total == sum(map(len, family.centered_at))
         mu = gen_measure(space, seed=seed, zero_fraction=0.0)
         assert len(mu.support) == space.n
         f = gen_function(space, seed=seed)
@@ -520,20 +518,27 @@ class TestLazyFamily:
         assert report.noncentered_limit == oracle.ratio_value(space, mu, limit, x, False)[0]
 
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
-    def test_both_argmax_paths_give_one_report(self, case, monkeypatch):
-        build, wide = CANDIDATE_CASES[case]
+    def test_winners_iff_some_point_is_off_center(self, case, monkeypatch):
+        calls = []
+        winners = _BallMeasures._winners
+        monkeypatch.setattr(
+            _BallMeasures, "_winners", lambda self, sums: calls.append(sums) or winners(self, sums)
+        )
+        build, off_center = CANDIDATE_CASES[case]
         space = build()
         family = enumerate_balls(space)
-        # a field reads the per-center winners iff Σ|B| > n²
-        assert (family.member_total > space.n**2) == wide
         seed = sum(map(ord, case))
         mu = gen_measure(space, seed=seed, zero_fraction=0.4)
         f = gen_function(space, seed=seed)
-        reports = []
-        for member_total in (space.n**2 + 1, 0):
-            monkeypatch.setitem(family.__dict__, "member_total", member_total)
-            reports.append(maximal_field(f, mu, space, family=family))
-        assert reports[0] == reports[1]
+        report = maximal_field(f, mu, space, family=family)
+        # one field, one path: the winners or the centered argmax, never `containing`
+        assert "containing" not in family.__dict__
+        assert len(calls) == off_center == any(family.off_center)
+        table = oracle.argmax_table(space, mu, f)
+        assert tuple(e.point for e in report.points) == mu.support
+        for e in report.points:
+            assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
+            assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
 
 
 def _check_pair_kernels(space, family, mu):
@@ -620,7 +625,7 @@ class TestFamilyLayout:
         for x in reversed(range(n)):
             assert family.holding(x) == expected[x]
         assert "containing" not in family.__dict__
-        # read again, from the kept scans, then from the built table
+        # read again from the kept scans, which the built table leaves as they are
         assert tuple(map(family.holding, range(n))) == expected
         assert family.containing == expected
         assert tuple(map(family.holding, range(n))) == expected
@@ -639,11 +644,11 @@ class TestMaskKernels:
 
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_pair_kernels_on_both_sides_of_the_sweep_rule(self, case):
-        # pair_masses sweeps by coverage where p lies in more balls than points
-        build, wide = CANDIDATE_CASES[case]
+        # pair_masses sweeps by coverage, at centered and off-center points alike
+        build, off_center = CANDIDATE_CASES[case]
         space = build()
         family = enumerate_balls(space)
-        assert any(len(family.containing[p]) > space.n for p in range(space.n)) == wide
+        assert any(family.off_center) == off_center
         mu = gen_measure(space, seed=sum(map(ord, case)), zero_fraction=0.4)
         _check_pair_kernels(space, family, mu)
 

@@ -452,9 +452,9 @@ class TestHullCertificateChecker:
         assert not verify_hull_certificates(line3, uniform3, verdict)
 
 
-def _check_audit_rows(space, mu):
+def _check_audit_rows(space, mu, family=None):
     """Every row of check_ball_infimum against the oracle's balls and point-mass maximal."""
-    report = check_ball_infimum(space, mu)
+    report = check_ball_infimum(space, mu, family=family)
     support = mu.support
     assert [(r.x, r.y) for r in report.pairs] == [
         (x, y) for x in support for y in support if x != y
@@ -483,16 +483,20 @@ class TestBallInfimumDifferential:
         )
         _check_audit_rows(space, DiscreteMeasure(tuple(weights)))
 
-    # spaces of up to 30 points, on both sides of pair_masses' sweep rule. The
-    # oracle costs O(n^4) per pair, so only every seventh point has weight (1 to 3).
+    # spaces of up to 30 points, with and without off-center support points,
+    # where the audit reads pair_masses rows. The oracle costs O(n^4) per
+    # pair, so only every seventh point has weight (1 to 3). The rows come
+    # from masks: no case builds a `Ball`, not even hops25, whose support
+    # points each lie in at most n balls.
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_rows_match_brute_force_on_candidate_cases(self, case):
-        build, wide = CANDIDATE_CASES[case]
+        build, off_center = CANDIDATE_CASES[case]
         space = build()
         family = enumerate_balls(space)
         mu = DiscreteMeasure(tuple(Q(1 + p % 3) if p % 7 == 3 else 0 for p in range(space.n)))
-        assert any(len(family.containing[x]) > space.n for x in mu.support) == wide
-        _check_audit_rows(space, mu)
+        assert any(family.off_center[x] for x in mu.support) == off_center
+        _check_audit_rows(space, mu, family)
+        assert "balls" not in family.__dict__
 
 
 class TestPointMassSearch:
