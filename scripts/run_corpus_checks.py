@@ -12,8 +12,11 @@ that a triangle breaks, has its `metric_violations` compared with a
 brute-force triple scan. On hop metrics of sparse graphs, where centered and
 off-center points mix, the field at a seeded sample of support points and a
 seeded sample of the pair-audit rows are compared with the brute-force
-oracle of `tests/oracle.py`. Everything is seeded; rerunning reproduces the
-numbers.
+oracle of `tests/oracle.py`. On a fresh family of each merge-tree space,
+under a measure with about 30 % zero weights, the randomized search, the
+exact decision and the pair audit run without building the family's
+`containing` table: every point of an ultrametric space is centered. Everything
+is seeded; rerunning reproduces the numbers.
 """
 
 import argparse
@@ -32,6 +35,7 @@ import oracle
 from maxlab import (
     check_ball_infimum,
     coincidence_exact,
+    coincidence_randomized,
     construct_witness,
     dirac,
     enumerate_balls,
@@ -121,6 +125,31 @@ def check_hops(space, seed: int) -> bool:
     return sum(map(len, family.centered_at)) < family.member_total <= space.n**2
 
 
+def check_dendrogram(space, seed: int) -> int:
+    """A cold family of an ultrametric space answers without its `containing` table.
+
+    Under a measure with about 30 % zero weights, a randomized search of 20
+    trials answers `equal` after all 20, the exact verdict's certificates
+    verify, and two seeded audit rows match the oracle. Returns the number
+    of certificates.
+    """
+    rng = random.Random(seed)
+    family = enumerate_balls(space)
+    mu = gen_measure(space, seed=seed, zero_fraction=0.3)
+    randomized = coincidence_randomized(space, mu, trials=20, seed=seed, family=family)
+    exact = coincidence_exact(space, mu, family=family)
+    rows = check_ball_infimum(space, mu, family=family).pairs
+    assert "containing" not in family.__dict__
+    assert (randomized.verdict, randomized.trials) == ("equal", 20)
+    assert exact.verdict == "equal" and verify_hull_certificates(space, mu, exact)
+    for row in rng.sample(rows, min(2, len(rows))):
+        x, y, d = row.x, row.y, space.dist[row.x][row.y]
+        assert row.measure_ball_y == oracle.mass(mu, oracle.ball_members(space, y, d)), (x, y)
+        assert row.measure_ball_x == oracle.mass(mu, oracle.ball_members(space, x, d)), (x, y)
+        assert row.pair_infimum == oracle.inf_pair_measure(space, mu, x, y), (x, y)
+    return len(exact.certificates)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100, help="spaces per family")
@@ -148,6 +177,17 @@ def main() -> int:
     print(
         f"[ultrametric] {args.count} spaces: {equalities} pointwise equalities, "
         f"all verdicts equal with verified certificates ({time.perf_counter() - t0:.2f}s)"
+    )
+
+    t0 = time.perf_counter()
+    certificates = 0
+    for k in range(args.count):
+        space = gen_ultrametric((k % args.max_n) + 1, seed=base + k)
+        certificates += check_dendrogram(space, base + 17 * k)
+    print(
+        f"[dendrograms] {args.count} cold families: searches equal after 20 trials, "
+        f"{certificates} certificates verified, sampled audit rows match the oracle, "
+        f"no containing table built ({time.perf_counter() - t0:.2f}s)"
     )
 
     t0 = time.perf_counter()

@@ -192,12 +192,13 @@ class BallFamily:
     radius `radii[i]`, listed by center, then radius, ascending; `balls`
     lists those `Ball`s. `containing[x]` lists the family indices of sets
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
-    built whole on first read. One path per question: `holding(x)` always
-    finds one list alone, by a pass over the masks.
-    `centered_at[x]` lists family indices arising from balls centered at x,
-    radii ascending, deduplicated, a subset of `containing[x]`: x is centered,
-    every ball holding it a ball around it, unless `off_center[x]`. So every
-    point is centered iff `member_total` is the total length of `centered_at`.
+    built whole on first read; `holding(x)` finds one list alone, by a pass
+    over the masks. `centered_at[x]` lists family indices arising from balls
+    centered at x, radii ascending, deduplicated, a subset of
+    `containing[x]`: x is centered, every ball holding it a ball around it,
+    unless `off_center[x]`. Every point is centered iff `member_total` is the
+    total length of `centered_at` (`centered_only`); such a family answers
+    from `centered_at` alone, and its `off_center` builds no `containing`.
     `rank_of[p][c]` is the position in `centered_at[c]` of the smallest ball
     centered at c that holds p: the rank of d(c, p) among the distinct
     distances from c. It is built whole on first read from `int_dist`, the
@@ -259,7 +260,13 @@ class BallFamily:
         return tuple(map(tuple, containing))
 
     @cached_property
+    def centered_only(self) -> bool:
+        return self.member_total == sum(map(len, self.centered_at))
+
+    @cached_property
     def off_center(self) -> tuple[bool, ...]:
+        if self.centered_only:
+            return (False,) * self.n
         return tuple(map(ne, map(len, self.containing), map(len, self.centered_at)))
 
     @cached_property

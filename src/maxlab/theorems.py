@@ -200,6 +200,7 @@ def coincidence_randomized(
 
     A centered x, one where every ball holding x is a ball around x, has no
     gap: phase 1 tests only the others, and with none it reads no pair row.
+    On a centered-only family phase 2 draws each function and sums no ball.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -248,6 +249,8 @@ def coincidence_exact(
 
     `equal` carries one certificate per (support point, containing ball),
     naming the ball itself if it is centered at x, else that centered ball.
+    At a centered x each ball holding x certifies itself, read off
+    `centered_at[x]` in family order: no trace, and no `containing`.
     `distinct` stops at the first mismatch B, with p a farthest point of
     B ∩ S and q the first point of S outside B of rank <= R, so
     d(x,q) <= d(x,p) while B, around c, holds x and p but not q;
@@ -265,6 +268,9 @@ def coincidence_exact(
     certificates: list[HullCertificate] = []
     for x in support:
         centered = family.centered_at[x]
+        if not family.off_center[x]:
+            certificates += [HullCertificate(x, balls[i], balls[i]) for i in sorted(centered)]
+            continue
         centered_set = set(centered)
         # traces[k]: the points of S of rank <= k from x; the last is all of S
         traces = [masks[i] & support_mask for i in centered]

@@ -643,7 +643,7 @@ class TestMaskKernels:
     """The kernels that read ball masks, against the oracle."""
 
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
-    def test_pair_kernels_on_both_sides_of_the_sweep_rule(self, case):
+    def test_pair_kernels_at_centered_and_off_center_points(self, case):
         # pair_masses sweeps by coverage, at centered and off-center points alike
         build, off_center = CANDIDATE_CASES[case]
         space = build()

@@ -359,6 +359,14 @@ class TestCenteredPoints:
         expected = tuple(any(x in s and s not in around[x] for s in balls) for x in range(space.n))
         assert family.off_center == expected
         assert (not any(family.off_center)) == is_ultrametric(space)
+        # a centered-only family, every point centered, answers without the table
+        assert family.centered_only == is_ultrametric(space)
+        assert ("containing" in family.__dict__) != family.centered_only
+        # and the flags are the same when the table was built first
+        built = enumerate_balls(space)
+        assert len(built.containing) == space.n
+        assert built.off_center == family.off_center
+        assert built.centered_only == family.centered_only
 
 
 def _squared_grid(side: int) -> FiniteMetricSpace:

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ from test_maximal import CANDIDATE_CASES, check_record
 from maxlab.maximal import _BallMeasures
 from maxlab import (
     Ball,
+    BallFamily,
     DiscreteMeasure,
     HullCertificate,
     PairBallCheck,
     SampleFunction,
     Witness,
     build_grid_demo,
+    centered_maximal,
     check_ball_infimum,
     check_lower_semicontinuity,
     coincidence_exact,
@@ -32,6 +35,7 @@ from maxlab import (
     gen_ultrametric,
     line_space,
     maximal_field,
+    noncentered_maximal,
     normalized_indicator,
     ultrametric_violation,
     validate_space,
@@ -594,6 +598,79 @@ class TestPointMassSearch:
         mu = gen_measure(space, seed=2, zero_fraction=0.3)
         verdict = coincidence_randomized(space, mu, trials=30, seed=2)
         assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 30, None)
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Wrap cls.name so that each call appends its arguments to the returned list."""
+    calls, method = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(args) or method(self, *args))
+    return calls
+
+
+class TestCenteredOnlyFamily:
+    """A dendrogram's family, every point centered, answers from `centered_at` alone."""
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
+    def test_phase2_sums_no_ball(self, seed, zero_fraction, monkeypatch):
+        space = gen_ultrametric(30, seed=seed)
+        family = enumerate_balls(space)
+        # every point is centered: Σ|B| is the total length of centered_at
+        assert family.member_total == sum(map(len, family.centered_at))
+        mu = gen_measure(space, seed=seed, zero_fraction=zero_fraction)
+        assert (len(mu.support) == space.n) == (zero_fraction == 0)
+        sums = _count_calls(monkeypatch, _BallMeasures, "_sums")
+        held = _count_calls(monkeypatch, BallFamily, "holding")
+        # every trial still draws its function, so `trials` counts them all
+        verdict = coincidence_randomized(space, mu, trials=30, seed=seed, family=family)
+        assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 30, None)
+        assert sums == [] and held == []
+        # one point: its values need one set of ball sums, and no scan of the masks
+        f = gen_function(space, seed=seed)
+        x = mu.support[len(mu.support) // 2]
+        for op, centered in ((centered_maximal, True), (noncentered_maximal, False)):
+            got = op(f, mu, family, x)
+            assert (got.value, got.ball.members) == oracle.argmax_ball(space, mu, f, x, centered)
+        assert len(sums) == 2 and held == []
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _BallMeasures(family, mu).first_gap(SampleFunction((1,) * (space.n + 1)))
+
+    def test_phase2_sums_each_trial_elsewhere(self, monkeypatch):
+        # control: a taxicab family has off-center points, and with one support
+        # point phase 1 finds no gap, so each trial sums the balls once
+        space = gen_taxicab(12, seed=1)
+        family = enumerate_balls(space)
+        assert family.member_total > sum(map(len, family.centered_at))
+        sums = _count_calls(monkeypatch, _BallMeasures, "_sums")
+        verdict = coincidence_randomized(space, dirac(space, 5), trials=7, seed=1, family=family)
+        assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 7, None)
+        assert len(sums) == 7
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
+    def test_cold_family_builds_no_containing(self, seed, zero_fraction):
+        space = gen_ultrametric(30, seed=seed)
+        mu = gen_measure(space, seed=seed, zero_fraction=zero_fraction)
+        family = enumerate_balls(space)
+        exact = coincidence_exact(space, mu, family=family)
+        randomized = coincidence_randomized(space, mu, trials=6, seed=seed, family=family)
+        report = check_ball_infimum(space, mu, family=family)
+        assert "containing" not in family.__dict__
+        assert (exact.verdict, randomized.verdict) == ("equal", "equal")
+        assert verify_hull_certificates(space, mu, exact)
+        # each support point with each ball holding it, in family order, certified by itself
+        expected = [
+            HullCertificate(x, ball, ball)
+            for x in mu.support
+            for ball in family.balls
+            if x in ball.members
+        ]
+        assert list(exact.certificates) == expected
+        rng = random.Random(seed)
+        for row in rng.sample(report.pairs, 3):
+            x, y, d = row.x, row.y, space.dist[row.x][row.y]
+            assert row.measure_ball_y == oracle.mass(mu, oracle.ball_members(space, y, d))
+            assert row.pair_infimum == oracle.inf_pair_measure(space, mu, x, y)
 
 
 class TestForwardDirection:
