@@ -18,12 +18,11 @@ at `slots[i]`, of a prefix sum over the family's per-center `rows`.
 One path per question. A point x is centered when every ball holding x is a
 ball around x, as in an ultrametric space; there no function separates the
 operators. Every point is centered iff Σ|B| equals the total length of
-`centered_at`, `family.centered_only`, and such a family answers from
-`centered_at` alone: a field takes the centered argmax for both operators,
-a one-point query scans `centered_at[x]`, and `first_gap` sums nothing.
-Elsewhere a field (`field` and `first_gap` share one walk) builds suffix
-winners, winner [c][j] being the best ball of `centered_at[c][j:]`, and a
-one-point query builds none and scans `centered_at[x]` and `holding(x)`.
+`centered_at` (`family.centered_only`). A field (`field` and `first_gap`
+share one walk) then answers from `centered_at` alone, the centered argmax
+serving both operators, and otherwise builds suffix winners, winner [c][j]
+being the best ball of `centered_at[c][j:]`. A one-point query builds no
+winner tables and scans `centered_at[x]` and `family.holding(x)`.
 Along one center the balls grow strictly, so a tie there goes to the earlier
 ball. Elsewhere two distinct balls are compared, on their member masks, only
 when two cross-products are equal.
@@ -232,15 +231,12 @@ class _BallMeasures:
 
         g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
         One point does not pay for the winner tables, which cost a pass over
-        every center's balls: it scans `centered_at[x]` and `holding(x)`, or
-        on a centered-only family `centered_at[x]` alone, for both maxima.
+        every center's balls: it scans `centered_at[x]` and `holding(x)`.
         """
         self._require_support(x)
         family = self.family
         sums, factor = self._sums(g)
         centered = self._value(sums, factor, self._best(sums, family.centered_at[x]))
-        if family.centered_only:
-            return centered, centered
         return centered, self._value(sums, factor, self._best(sums, family.holding(x)))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
@@ -303,11 +299,8 @@ class _BallMeasures:
 
         Compares the two argmax balls' integer (sum, mass) pairs point by
         point, as `field` would, and builds the values only for the point
-        returned, with its centered and non-centered maxima. A centered-only
-        family has no gap: there it sums nothing, once f's dimension is right.
+        returned, with its centered and non-centered maxima.
         """
-        if self.family.centered_only and f.n == len(self.weights):
-            return None  # a wrong dimension goes on to _sums' ValueError
         denominators = self._denominators
         sums, factor = self._sums(f)
         for x, c, nc in self._argmaxes(sums):

@@ -200,7 +200,8 @@ def coincidence_randomized(
 
     A centered x, one where every ball holding x is a ball around x, has no
     gap: phase 1 tests only the others, and with none it reads no pair row.
-    On a centered-only family phase 2 draws each function and sums no ball.
+    On a centered-only family, every point centered, no trial can find a gap,
+    so phase 2 answers `equal` after `trials` without drawing a function.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -219,6 +220,8 @@ def coincidence_randomized(
                 cv, nv = ball_measures.at(f, x)
                 witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
                 return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
+    if family.centered_only:
+        return CoincidenceVerdict("equal", "randomized", trials=trials)
     rng = random.Random(seed)
     for t in range(trials):
         f = SampleFunction(tuple(_SMALL[rng.randint(-9, 9) + 9] for _ in range(space.n)))

@@ -642,19 +642,9 @@ class TestFamilyLayout:
 class TestMaskKernels:
     """The kernels that read ball masks, against the oracle."""
 
-    @pytest.mark.parametrize("case", sorted(c for c, (_, off) in CANDIDATE_CASES.items() if off))
-    def test_pair_kernels_at_centered_and_off_center_points(self, case):
-        # pair_masses sweeps by coverage, at centered and off-center points alike
-        self._check_case(case)
-
-    @pytest.mark.parametrize("case", sorted(c for c, (_, off) in CANDIDATE_CASES.items() if not off))
+    @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_pair_kernels_on_both_sides_of_the_sweep_rule(self, case):
-        # the centered-only cases, every point centered; the name predates the
-        # centered/off-center split and is on ROADMAP.md for a rename
-        self._check_case(case)
-
-    @staticmethod
-    def _check_case(case):
+        # pair_masses sweeps by coverage, at centered and off-center points alike
         build, off_center = CANDIDATE_CASES[case]
         space = build()
         family = enumerate_balls(space)
