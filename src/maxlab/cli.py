@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coincide", help="decide operator coincidence for all functions")
     add_common(p, measure=True)
     p.add_argument("--mode", choices=("exact", "randomized"), default="exact")
-    p.add_argument("--trials", type=int, default=200, help="randomized-mode trial count")
+    p.add_argument("--trials", type=int, default=200, help="echoed in randomized reports; no trial is run")
     p.add_argument("--expect", choices=("equal", "distinct"), default=None)
 
     p = sub.add_parser("witness", help="explicit gap witness from an ultrametric violation")

@@ -18,11 +18,11 @@ at `slots[i]`, of a prefix sum over the family's per-center `rows`.
 One path per question. A point x is centered when every ball holding x is a
 ball around x, as in an ultrametric space; there no function separates the
 operators. Every point is centered iff Σ|B| equals the total length of
-`centered_at` (`family.centered_only`). A field (`field` and `first_gap`
-share one walk) then answers from `centered_at` alone, the centered argmax
-serving both operators, and otherwise builds suffix winners, winner [c][j]
-being the best ball of `centered_at[c][j:]`. A one-point query builds no
-winner tables and scans `centered_at[x]` and `family.holding(x)`.
+`centered_at` (`family.centered_only`). A field then answers from
+`centered_at` alone, the centered argmax serving both operators, and
+otherwise builds suffix winners, winner [c][j] being the best ball of
+`centered_at[c][j:]`. A one-point query builds no winner tables and scans
+`centered_at[x]` and `family.holding(x)`.
 Along one center the balls grow strictly, so a tie there goes to the earlier
 ball. Elsewhere two distinct balls are compared, on their member masks, only
 when two cross-products are equal.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .measure import DiscreteMeasure, SampleFunction, _nonempty_support
 from .metric import Ball, BallFamily, FiniteMetricSpace, _scaled, enumerate_balls
@@ -194,31 +194,6 @@ class _BallMeasures:
                 best, best_s, best_m = i, s, m
         return best
 
-    def _argmaxes(self, sums: list[int]) -> Iterator[tuple[int, int, int]]:
-        """(x, centered argmax, non-centered argmax) at each support point x, ascending.
-
-        One path per family. Σ|B| counts each point once per ball holding it,
-        and the balls around x are among those, so Σ|B| exceeds the total
-        length of `centered_at` iff some ball holds a point it is no ball
-        around. Then the suffix winners serve: the balls holding x are
-        `centered_at[c][rank_of[x][c]:]` over every center c, the centered
-        argmax is the winner [x][0] and the non-centered one the best of the n
-        winners [c][rank_of[x][c]]. Otherwise every ball holding x is a ball
-        around x, and the centered argmax serves for both. Each way gives the
-        unique best ball by value, then `_precedes`.
-        """
-        family = self.family
-        winners = None if family.centered_only else self._winners(sums)
-        for x, w in enumerate(self.weights):
-            if not w:
-                continue
-            if winners:
-                c = winners[x][0]
-                nc = self._best(sums, map(list.__getitem__, winners, family.rank_of[x]))
-            else:
-                c = nc = self._best(sums, family.centered_at[x])
-            yield x, c, nc
-
     def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
         value = Fraction(sums[i] * factor.numerator, self._denominators[i] * factor.denominator)
@@ -286,27 +261,34 @@ class _BallMeasures:
         return row
 
     def field(self, f: SampleFunction) -> MaximalReport:
+        """Both maxima of f at each support point, ascending.
+
+        One path per family. Σ|B| counts each point once per ball holding it,
+        and the balls around x are among those, so Σ|B| exceeds the total
+        length of `centered_at` iff some ball holds a point it is no ball
+        around. Then the suffix winners serve: the balls holding x are
+        `centered_at[c][rank_of[x][c]:]` over every center c, the centered
+        argmax is the winner [x][0] and the non-centered one the best of the n
+        winners [c][rank_of[x][c]]. Otherwise every ball holding x is a ball
+        around x, and the centered argmax serves for both. Each way gives the
+        unique best ball by value, then `_precedes`.
+        """
+        family = self.family
         sums, factor = self._sums(f)
+        winners = None if family.centered_only else self._winners(sums)
         points = []
-        for x, c, nc in self._argmaxes(sums):
+        for x, w in enumerate(self.weights):
+            if not w:
+                continue
+            if winners:
+                c = winners[x][0]
+                nc = self._best(sums, map(list.__getitem__, winners, family.rank_of[x]))
+            else:
+                c = nc = self._best(sums, family.centered_at[x])
             centered = self._value(sums, factor, c)
             noncentered = centered if nc == c else self._value(sums, factor, nc)
             points.append(PointMaximal(x, centered, noncentered))
         return MaximalReport(points=tuple(points))
-
-    def first_gap(self, f: SampleFunction) -> tuple[int, MaximalValue, MaximalValue] | None:
-        """The first support point where the non-centered value of f beats the centered one.
-
-        Compares the two argmax balls' integer (sum, mass) pairs point by
-        point, as `field` would, and builds the values only for the point
-        returned, with its centered and non-centered maxima.
-        """
-        denominators = self._denominators
-        sums, factor = self._sums(f)
-        for x, c, nc in self._argmaxes(sums):
-            if sums[nc] * denominators[c] > sums[c] * denominators[nc]:
-                return x, self._value(sums, factor, c), self._value(sums, factor, nc)
-        return None
 
 
 def centered_maximal(

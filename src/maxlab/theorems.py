@@ -18,7 +18,6 @@ holds them, one per call, stays a frozen dataclass.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +66,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_SMALL = tuple(map(Fraction, range(-9, 10)))  # phase 2's values, -9 to 9, built once
 
 GRID_DEMO_NOTE = (
     "finite-grid evidence: non-atomic measures have no exact finite "
@@ -119,7 +117,7 @@ class CoincidenceVerdict:
     separating triple (x, p, q, c) behind it: see `coincidence_exact`.
     `equal` carries trace-match certificates when decided exactly, one per
     (support point, containing ball); the randomized method's `equal` is
-    inconclusive and carries none.
+    decided by its point-mass search too, but carries no certificate.
     """
 
     verdict: str  # "equal" | "distinct"
@@ -173,35 +171,34 @@ def coincidence_randomized(
     seed: int,
     family: BallFamily | None = None,
 ) -> CoincidenceVerdict:
-    """Search for a function separating the two maximal fields.
+    """Search the point masses for a function separating the two maximal fields.
 
-    Phase 1 tries the unit-mass indicator of each support point p in turn
-    (the functions behind the explicit witness construction); phase 2 tries
-    `trials` random functions with integer values in [-9, 9] from the seeded
-    generator. An `equal` answer is inconclusive; a `distinct` answer carries
-    the first witness found: the first p, then the first support point x at
-    which the non-centered value exceeds the centered one.
+    Tries the unit-mass indicator of each support point p in turn (the
+    functions behind the explicit witness construction). A `distinct` answer
+    carries the first witness found: the first p, then the first support
+    point x at which the non-centered value exceeds the centered one. If no
+    point mass separates the operators, the answer is `equal`.
 
-    Phase 1 reads its values off integer ball masses. A ball averages the
+    The values are read off integer ball masses. A ball averages the
     indicator of p to 1/mu(B) if it holds p and to 0 otherwise, so at x the
     centered value is 1/mu(B(x, d(x,p))) and the non-centered one is 1 over
     the smallest mass of a ball holding both x and p, which one sweep over the
     balls containing p gives for every x. Only the witness is re-evaluated,
-    directly. Phase 2 compares integer (sum, mass) pairs point by point and
-    stops at the first gap.
+    directly.
 
-    Phase 1 alone already decides. If the operators differ at all, some
-    ball B holds x and p but misses a q in the support S with
-    d(x,q) <= d(x,p) (see `coincidence_exact`). Let p* be a point of B ∩ S
-    farthest from x. B ∩ S lies in B(x, d(x,p*)), which also holds q, so
+    The point masses alone decide, so `equal` is no guess. If the operators
+    differ at all, some ball B holds x and p but misses a q in the support S
+    with d(x,q) <= d(x,p) (see `coincidence_exact`). Let p* be a point of
+    B ∩ S farthest from x. B ∩ S lies in B(x, d(x,p*)), which also holds q, so
     mu(B) <= mu(B(x, d(x,p*))) - mu(q) < mu(B(x, d(x,p*))): the indicator of
-    p* separates the operators at x. So when they differ, phase 1 returns
-    before phase 2 starts, and phase 2 can only end in `equal`.
+    p* separates the operators at x.
 
     A centered x, one where every ball holding x is a ball around x, has no
-    gap: phase 1 tests only the others, and with none it reads no pair row.
-    On a centered-only family, every point centered, no trial can find a gap,
-    so phase 2 answers `equal` after `trials` without drawing a function.
+    gap: the search tests only the others, and with none it reads no pair row.
+
+    `trials` is only echoed by an `equal` verdict and `seed` is ignored; the
+    benchmark under `bench/` still passes both, and their removal waits on
+    ROADMAP item 2.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -220,16 +217,6 @@ def coincidence_randomized(
                 cv, nv = ball_measures.at(f, x)
                 witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
                 return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
-    if family.centered_only:
-        return CoincidenceVerdict("equal", "randomized", trials=trials)
-    rng = random.Random(seed)
-    for t in range(trials):
-        f = SampleFunction(tuple(_SMALL[rng.randint(-9, 9) + 9] for _ in range(space.n)))
-        gap = ball_measures.first_gap(f)
-        if gap is not None:
-            x, cv, nv = gap
-            witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
-            return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=t + 1)
     return CoincidenceVerdict("equal", "randomized", trials=trials)
 
 

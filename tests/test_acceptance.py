@@ -128,7 +128,7 @@ def test_criterion_4_dirac_identity_over_corpus():
 
 
 def test_criterion_5_decision_soundness_small_spaces():
-    """Exact and randomized verdicts never contradict; all certificates re-verify."""
+    """Exact and randomized verdicts agree; all certificates and witnesses re-verify."""
     budget = 300.0
     t0 = time.perf_counter()
     combos = 0
@@ -139,12 +139,11 @@ def test_criterion_5_decision_soundness_small_spaces():
         for mu in weight_grid(space.n, levels=(0, 1, 2)):
             exact = coincidence_exact(space, mu, family=family)
             randomized = coincidence_randomized(space, mu, trials=1000, seed=500 + combos, family=family)
+            assert randomized.verdict == exact.verdict
             if randomized.verdict == "distinct":
-                assert exact.verdict == "distinct"
                 assert verify_witness(space, randomized.witness)
             if exact.verdict == "equal":
                 equal_count += 1
-                assert randomized.verdict == "equal"
                 assert verify_hull_certificates(space, mu, exact)
             else:
                 assert verify_witness(space, exact.witness)

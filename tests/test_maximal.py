@@ -251,18 +251,6 @@ class TestProperties:
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
-    def test_first_gap_matches_field(self, inst):
-        space, mu, f = inst
-        ball_measures = _BallMeasures(enumerate_balls(space), mu)
-        gaps = (
-            (e.point, e.centered, e.noncentered)
-            for e in ball_measures.field(f).points
-            if e.noncentered.value > e.centered.value
-        )
-        assert ball_measures.first_gap(f) == next(gaps, None)
-
-    @given(instances())
-    @settings(max_examples=60, deadline=None)
     def test_domination_and_argmax_reproduction(self, inst):
         space, mu, f = inst
         report = maximal_field(f, mu, space)
@@ -367,7 +355,7 @@ CANDIDATE_CASES = {
 
 
 def _check_against_oracle(space, family, mu, f):
-    """maximal_field, at and first_gap against the oracle's argmax balls."""
+    """maximal_field and at against the oracle's argmax balls."""
     ball_measures = _BallMeasures(family, mu)
     table = oracle.argmax_table(space, mu, f)
     report = maximal_field(f, mu, space, family=family)
@@ -376,15 +364,6 @@ def _check_against_oracle(space, family, mu, f):
         assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
         assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
         assert ball_measures.at(f, e.point) == (e.centered, e.noncentered)
-    gap = next((x for x in mu.support if table[x, False][0] > table[x, True][0]), None)
-    got = ball_measures.first_gap(f)
-    if gap is None:
-        assert got is None
-    else:
-        x, centered, noncentered = got
-        assert x == gap
-        assert (centered.value, centered.ball.members) == table[x, True]
-        assert (noncentered.value, noncentered.ball.members) == table[x, False]
 
 
 class TestCandidateLists:

@@ -182,7 +182,7 @@ class TestCoincidenceRandomized:
         verdict = coincidence_randomized(line3, uniform3, trials=0, seed=0)
         assert verdict.verdict == "distinct"
         assert verdict.method == "randomized"
-        assert verdict.trials == 0  # phase 1 found it before any random trial
+        assert verdict.trials == 0  # a point mass separates: no trial is reported
         w = verdict.witness
         assert w.point == 1
         assert (w.centered_value, w.noncentered_value) == (Q(1, 3), Q(1, 2))
@@ -254,13 +254,14 @@ class TestCoincidenceExact:
         assert randomized.verdict == "equal"
 
     def test_exact_matches_field_scan_on_catalog(self):
-        # sanity: the hull decision agrees with a direct randomized falsifier
+        # the hull decision and the point-mass search decide alike
         for space in small_catalog():
             for mu in weight_grid(space.n, levels=(0, 1, 2)):
                 exact = coincidence_exact(space, mu)
                 randomized = coincidence_randomized(space, mu, trials=40, seed=11)
+                assert randomized.verdict == exact.verdict
                 if randomized.verdict == "distinct":
-                    assert exact.verdict == "distinct"
+                    assert verify_witness(space, randomized.witness)
                 if exact.verdict == "equal":
                     assert verify_hull_certificates(space, mu, exact)
                 else:
@@ -544,7 +545,7 @@ class TestPointMassSearch:
     @settings(max_examples=150, deadline=None)
     def test_phase1_alone_decides(self, kind, n, seed, zero_fraction):
         # a separating triple (x, p, q) makes the indicator of the point of
-        # B ∩ S farthest from x a witness, so phase 1 misses no `distinct`
+        # B ∩ S farthest from x a witness, so the point masses miss no `distinct`
         if kind == 0:
             space = gen_taxicab(n, dim=1 + seed % 2, seed=seed)
         elif kind == 1:
@@ -558,7 +559,7 @@ class TestPointMassSearch:
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_centered_points_read_no_pair_row(self, seed, monkeypatch):
-        # every point of a dendrogram is centered: neither phase 1 nor the
+        # every point of a dendrogram is centered: neither the search nor the
         # audit reads a pair_masses row, and both still match the oracle
         space = gen_ultrametric(30, seed=seed)
         mu = DiscreteMeasure(tuple(Q(1 + p % 3) if p % 7 == 3 else 0 for p in range(space.n)))
@@ -612,7 +613,7 @@ class TestCenteredOnlyFamily:
 
     @pytest.mark.parametrize("seed", [14, 15])
     @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
-    def test_phase2_sums_no_ball(self, seed, zero_fraction, monkeypatch):
+    def test_sums_no_ball(self, seed, zero_fraction, monkeypatch):
         space = gen_ultrametric(30, seed=seed)
         family = enumerate_balls(space)
         # every point is centered: Σ|B| is the total length of centered_at
@@ -621,7 +622,7 @@ class TestCenteredOnlyFamily:
         assert (len(mu.support) == space.n) == (zero_fraction == 0)
         sums = _count_calls(monkeypatch, _BallMeasures, "_sums")
         held = _count_calls(monkeypatch, BallFamily, "holding")
-        # no trial can find a gap, so phase 2 answers after `trials` unsummed
+        # no point is off center, so the search reads no ball sum and echoes `trials`
         verdict = coincidence_randomized(space, mu, trials=30, seed=seed, family=family)
         assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 30, None)
         assert sums == [] and held == []
@@ -633,18 +634,18 @@ class TestCenteredOnlyFamily:
             assert (got.value, got.ball.members) == oracle.argmax_ball(space, mu, f, x, centered)
         assert len(sums) == 2
         with pytest.raises(ValueError, match="dimension mismatch"):
-            _BallMeasures(family, mu).first_gap(SampleFunction((1,) * (space.n + 1)))
+            _BallMeasures(family, mu).at(SampleFunction((1,) * (space.n + 1)), x)
 
-    def test_phase2_sums_each_trial_elsewhere(self, monkeypatch):
-        # control: a taxicab family has off-center points, and with one support
-        # point phase 1 finds no gap, so each trial sums the balls once
+    def test_sums_no_ball_elsewhere(self, monkeypatch):
+        # a taxicab family has off-center points, but with one support point
+        # no point mass separates the operators, so `equal` sums no ball
         space = gen_taxicab(12, seed=1)
         family = enumerate_balls(space)
         assert family.member_total > sum(map(len, family.centered_at))
         sums = _count_calls(monkeypatch, _BallMeasures, "_sums")
         verdict = coincidence_randomized(space, dirac(space, 5), trials=7, seed=1, family=family)
         assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 7, None)
-        assert len(sums) == 7
+        assert sums == []
 
     @pytest.mark.parametrize("seed", [14, 15])
     @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
