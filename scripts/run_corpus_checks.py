@@ -17,8 +17,11 @@ seeded sample of the pair-audit rows are compared with the brute-force
 oracle of `tests/oracle.py`. On a fresh family of each merge-tree space,
 under a measure with about 30 % zero weights, the randomized search, the
 exact decision and the pair audit run without building the family's
-`containing` table: every point of an ultrametric space is centered. Everything
-is seeded; rerunning reproduces the numbers.
+`containing` table: every point of an ultrametric space is centered. On the
+matrices of cold merge-tree spaces and of copies with one pair nudged down
+or up, `is_ultrametric`, `ultrametric_violation` and `metric_violations`,
+which skip their cubic scans where the O(n²) row test accepts, are compared
+with brute force. Everything is seeded; rerunning reproduces the numbers.
 """
 
 import argparse
@@ -26,6 +29,7 @@ import random
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +39,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 import oracle
 
 from maxlab import (
+    FiniteMetricSpace,
     check_ball_infimum,
     coincidence_exact,
     coincidence_randomized,
@@ -47,6 +52,7 @@ from maxlab import (
     gen_taxicab,
     gen_ultrametric,
     inf_ball_measure_pair,
+    is_ultrametric,
     maximal_field,
     metric_violations,
     noncentered_maximal_measure,
@@ -99,6 +105,21 @@ def check_shortened(space, triple) -> int:
     assert expected, triple
     assert [(v.axiom, v.indices) for v in got] == [("triangle", t) for t in expected], triple
     return len(expected)
+
+
+def check_row_test(dist) -> tuple[bool, bool]:
+    """`is_ultrametric`, `ultrametric_violation` and `metric_violations` of a matrix against brute force.
+
+    The space is built afresh, so its integer matrix is computed on first
+    read. Returns whether the matrix is an ultrametric and whether a metric.
+    """
+    space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+    ultrametric = oracle.is_ultrametric(dist)
+    violations = oracle.metric_violations(dist)
+    assert is_ultrametric(space) == ultrametric
+    assert ultrametric_violation(space) == oracle.ultrametric_violation(dist)
+    assert [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)] == violations
+    return ultrametric, not violations
 
 
 def check_hops(space, seed: int) -> bool:
@@ -190,6 +211,29 @@ def main() -> int:
         f"[dendrograms] {args.count} cold families: searches equal, "
         f"{certificates} certificates verified, sampled audit rows match the oracle, "
         f"no containing table built ({time.perf_counter() - t0:.2f}s)"
+    )
+
+    t0 = time.perf_counter()
+    matrices = ultrametrics = metrics = 0
+    for k in range(args.count):
+        dist = gen_ultrametric((k % args.max_n) + 1, seed=base + 800 + k).dist
+        copies = [dist]
+        if len(dist) > 1:
+            # one pair down to a quarter and up to three times its distance
+            i, j = random.Random(base + 900 + k).sample(range(len(dist)), 2)
+            for factor in (Fraction(1, 4), Fraction(3)):
+                nudged = [list(row) for row in dist]
+                nudged[i][j] = nudged[j][i] = factor * dist[i][j]
+                copies.append(tuple(map(tuple, nudged)))
+        for copy in copies:
+            ultrametric, metric = check_row_test(copy)
+            matrices += 1
+            ultrametrics += ultrametric
+            metrics += metric
+    print(
+        f"[row test] {args.count} cold dendrograms and {matrices - args.count} nudged copies, "
+        f"{ultrametrics} ultrametric and {metrics} metrics: is_ultrametric, ultrametric_violation "
+        f"and metric_violations equal brute force ({time.perf_counter() - t0:.2f}s)"
     )
 
     t0 = time.perf_counter()

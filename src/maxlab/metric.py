@@ -11,18 +11,19 @@ of the distance matrix, scaled by the lcm of its denominators:
 `FiniteMetricSpace.int_dist`, computed once per space and kept with it (a
 space loaded from a file gets it from the loader).
 
-The two O(n³) scans, the triangle check of `metric_violations` and
-`ultrametric_violation`, keep their exact loop over the middle point j, but
-run it only for a pair that fails a word-parallel pre-test. Each row and each
-column of the integer matrix is packed into one Python int, one byte field per
-point with a guard bit on top (`_packed_lines`); one subtraction of such ints
-compares all n entries of a line with a threshold at once, and the guard bits
-that survive mark the entries at or above it; the triangle pre-test adds
-`guards` to each packed column once, since no field of a sum of two lines
-reaches its guard bit. `enumerate_balls` deduplicates member sets on an int
-bitmask, bit p for point p; the family builds its `Ball`s, its Σ|B|-entry
-`containing` lists, its n² `rank_of` table and each ball's member tuple on
-first read.
+One O(n³) scan is left, the triangle check of `metric_violations` and its
+twin, the triple search of `ultrametric_violation`. It runs only on a matrix
+that the O(n²) row test `_ultrametric` (all of `is_ultrametric`) rejects,
+and its exact loop over the middle point j only for a pair that fails a
+word-parallel pre-test. Each row and each column of the integer matrix is
+packed into one Python int, one byte field per point with a guard bit on top
+(`_packed_lines`); one subtraction of such ints compares all n entries of a
+line with a threshold at once, and the guard bits that survive mark the
+entries at or above it; the triangle pre-test adds `guards` to each packed
+column once, since no field of a sum of two lines reaches its guard bit.
+`enumerate_balls` deduplicates member sets on an int bitmask, bit p for
+point p; the family builds its `Ball`s, its Σ|B|-entry `containing` lists,
+its n² `rank_of` table and each ball's member tuple on first read.
 """
 
 from __future__ import annotations
@@ -358,6 +359,31 @@ def _packed_lines(
     return rows, columns, offset, ones << (8 * width - 1), ones
 
 
+def _ultrametric(scaled: tuple[tuple[int, ...], ...], symmetric: bool, lines: tuple) -> bool | None:
+    """Whether D, packed as `lines`, is an ultrametric; None unless `symmetric`, 0 diagonal, D >= 0.
+
+    For v >= 1 let w = D[v][u], u the first minimum of D[v][:v]. D is an
+    ultrametric iff D[v][x] = max(w, D[u][x]) for all x < v: an ultrametric
+    gives <=, and >= as D[u][x] <= max(w, D[v][x]) = D[v][x] >= w; each row
+    so built keeps the triples up to v ultrametric. One word-parallel step a
+    row, O(n²) in all: the fields of packed row u whose guard survives
+    subtracting w ones, w in the others, must equal packed row v's first v.
+    """
+    rows, _, offset, guards, ones = lines
+    if not symmetric or offset or any(row[i] for i, row in enumerate(scaled)):
+        return None
+    bits = (guards & -guards).bit_length()  # the width of a field
+    for v in range(1, len(scaled)):
+        head = scaled[v][:v]
+        w = min(head)
+        near, level = rows[head.index(w)], w * ones
+        above = ((near | guards) - level) & guards
+        blend = level ^ ((near ^ level) & ((above << 1) - (above >> bits - 1)))
+        if (blend ^ rows[v]) & ((1 << bits * v) - 1):
+            return False
+    return True
+
+
 def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViolation]:
     """The violated metric axioms of a square matrix, with indices, the first MAX_VIOLATIONS."""
     return list(islice(_violations(dist, _integer_matrix(dist)), MAX_VIOLATIONS))
@@ -370,12 +396,13 @@ def _violations(
 
     A generator: a caller that stops taking violations stops the scan.
 
-    The triangle check tests each pair (i, k) with i < k word-parallel first:
-    with D the integer copy and each packed column lifted by `guards` once,
-    every guard bit of row i + lifted column k - (D[i][k] + 2 offset) ones
-    survives iff D[i][j] + D[j][k] >= D[i][k] for every j. No field of a sum
-    of two lines reaches its guard bit, so adding `guards` sets them all. Only
-    a pair that fails this runs the exact scan over j.
+    A matrix with no other violation that `_ultrametric` accepts skips the
+    O(n³) triangle check, which tests each pair (i, k) with i < k
+    word-parallel first: with D the integer copy and each packed column lifted
+    by `guards` once, every guard bit of row i + lifted column k - (D[i][k] +
+    2 offset) ones survives iff D[i][j] + D[j][k] >= D[i][k] for every j. No
+    field of a sum of two lines reaches its guard bit, so adding `guards` sets
+    them all. Only a pair that fails this runs the exact scan over j.
     """
     n = len(dist)
     for i in range(n):
@@ -385,9 +412,8 @@ def _violations(
     # transpose and each row's smallest entry right of the diagonal is positive;
     # only a matrix that fails either runs the loop that lists the violations
     symmetric = scaled == tuple(zip(*scaled))
-    if not symmetric or any(
-        min(row[i + 1 :], default=1) <= 0 for i, row in enumerate(scaled)
-    ):
+    positive = all(min(row[i + 1 :], default=1) > 0 for i, row in enumerate(scaled))
+    if not (symmetric and positive):
         for i, j in combinations(range(n), 2):
             if scaled[i][j] != scaled[j][i]:
                 yield MetricViolation(
@@ -395,7 +421,9 @@ def _violations(
                 )
             if scaled[i][j] <= 0:
                 yield MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
-    rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    lines = rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    if positive and _ultrametric(scaled, symmetric, lines):
+        return  # an ultrametric with no negative entry satisfies the triangle inequality
     lifted = [col + guards for col in columns]
     for i, row in enumerate(scaled):
         packed = rows[i]
@@ -482,16 +510,20 @@ def line_space(
 def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with d(x,z) <= d(x,y) < d(z,y), or None.
 
-    Scans pairs a < c, then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a
-    violation is normalized so that x is the middle point, y the farther
-    endpoint and z the nearer one (ties resolved toward the later endpoint).
+    None where the O(n²) `_ultrametric` accepts; else it scans pairs a < c,
+    then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a violation is
+    normalized so that x is the middle point, y the farther endpoint and z
+    the nearer one (ties resolved toward the later endpoint).
     A pair runs the scan over b only if it fails a word-parallel pre-test on
     the packed row a and column c: the OR of their `>= d(a,c)` masks keeps
     every guard bit iff no b lies closer than d(a,c) to both a and c.
     """
     n = space.n
     scaled = space.int_dist
-    rows, columns, offset, guards, ones = _packed_lines(scaled, scaled == tuple(zip(*scaled)))
+    symmetric = scaled == tuple(zip(*scaled))
+    lines = rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    if _ultrametric(scaled, symmetric, lines):
+        return None
     columns = [col | guards for col in columns]
     for a, row in enumerate(scaled):
         packed = rows[a] | guards
@@ -510,8 +542,11 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples."""
-    return ultrametric_violation(space) is None
+    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples: `_ultrametric`, else the scan."""
+    scaled = space.int_dist
+    symmetric = scaled == tuple(zip(*scaled))
+    verdict = _ultrametric(scaled, symmetric, _packed_lines(scaled, symmetric))
+    return ultrametric_violation(space) is None if verdict is None else verdict
 
 
 def closed_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fraction) -> Ball:

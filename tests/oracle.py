@@ -186,6 +186,14 @@ def coincides(space, weights):
     return True
 
 
+def is_ultrametric(dist):
+    """True iff d(x,z) <= max(d(x,y), d(y,z)) over every triple, repeats included."""
+    n = len(dist)
+    return all(
+        dist[x][z] <= max(dist[x][y], dist[y][z]) for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
 def ultrametric_violation(dist):
     """First (b, far, near) over pairs a < c, then b, with d(a,c) > max(d(a,b), d(b,c)).
 

@@ -339,6 +339,119 @@ class TestUltrametricScan:
         assert oracle.ultrametric_violation(dist) is None
 
 
+@st.composite
+def dendrogram_matrices(draw, min_n=1, max_n=12):
+    """The matrix of a merge tree over min_n to max_n points in shuffled order, with many ties.
+
+    Two clusters at a time merge at a height that never falls and often
+    stays, so one height can join several clusters and many pairs. A step of
+    1/(2**61 - 1) makes the packed fields wider than 8 bytes.
+    """
+    n = draw(st.integers(min_n, max_n))
+    clusters = [[p] for p in draw(st.permutations(range(n)))]
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    steps = st.sampled_from(
+        [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(1, 2**61 - 1)]
+    )
+    height = Fraction(1)
+    while len(clusters) > 1:
+        pair = st.lists(st.integers(0, len(clusters) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(draw(pair))
+        joined = clusters.pop(j)
+        for p in clusters[i]:
+            for q in joined:
+                dist[p][q] = dist[q][p] = height
+        clusters[i] += joined
+        height += draw(steps)
+    return tuple(map(tuple, dist))
+
+
+@st.composite
+def nudged_dendrograms(draw):
+    """A dendrogram matrix with one symmetric pair moved down or up.
+
+    A step of 1/7 often keeps a metric; a quarter or three times the old
+    distance often breaks the triangle inequality.
+    """
+    dist = [list(row) for row in draw(dendrogram_matrices(min_n=2))]
+    i, j = draw(st.lists(st.integers(0, len(dist) - 1), min_size=2, max_size=2, unique=True))
+    old = dist[i][j]
+    new = draw(st.sampled_from([old / 4, old - Fraction(1, 7), old + Fraction(1, 7), 3 * old]))
+    dist[i][j] = dist[j][i] = new
+    return tuple(map(tuple, dist))
+
+
+@st.composite
+def faulty_dendrograms(draw):
+    """A dendrogram matrix with one fault that keeps it from the O(n²) ultrametric test.
+
+    The fault is a nonzero diagonal entry, one entry of a pair changed (the
+    other triangle stays ultrametric), or a zero off-diagonal entry, alone or
+    with its mirror.
+    """
+    dist = [list(row) for row in draw(dendrogram_matrices(min_n=2))]
+    i, j = draw(st.lists(st.integers(0, len(dist) - 1), min_size=2, max_size=2, unique=True))
+    fault = draw(st.sampled_from(["diagonal", "symmetry", "positivity"]))
+    if fault == "diagonal":
+        dist[i][i] = draw(st.sampled_from([Fraction(1, 3), dist[i][j]]))
+    elif fault == "symmetry":
+        dist[i][j] = draw(st.sampled_from([dist[i][j] / 4, dist[i][j] + Fraction(1, 7), 3 * dist[i][j]]))
+    else:
+        dist[i][j] = Fraction(0)
+        if draw(st.booleans()):
+            dist[j][i] = Fraction(0)
+    return tuple(map(tuple, dist))
+
+
+# merge tree {0, 1} {2, 3} at height 1, joined at height 2
+_TWO_CHERRIES = ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 1), (2, 2, 1, 0))
+
+
+class TestUltrametricRowTest:
+    @given(st.one_of(dendrogram_matrices(), nudged_dendrograms()))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force(self, dist):
+        space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+        assert is_ultrametric(space) == oracle.is_ultrametric(dist)
+        assert ultrametric_violation(space) == oracle.ultrametric_violation(dist)
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == oracle.metric_violations(dist)
+
+    @given(dendrogram_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_dendrograms_are_ultrametric(self, dist):
+        assert oracle.is_ultrametric(dist)
+
+    @given(faulty_dendrograms())
+    @settings(max_examples=300, deadline=None)
+    def test_fault_lists_every_violation(self, dist):
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == oracle.metric_violations(dist)
+        assert any(axiom != "triangle" for axiom, _, _ in got)
+        # such a matrix takes the scan, whose verdict is_ultrametric reports
+        space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+        triple = oracle.ultrametric_violation(dist)
+        assert (ultrametric_violation(space), is_ultrametric(space)) == (triple, triple is None)
+
+    @pytest.mark.parametrize(
+        "cells, value, triangles",
+        [
+            ([(2, 2)], 1, []),
+            # the lower triangle stays the ultrametric it was
+            ([(0, 2)], 5, [(0, 1, 2), (0, 3, 2)]),
+            ([(0, 2), (2, 0)], 0, [(0, 2, 3), (1, 0, 2)]),
+        ],
+    )
+    def test_fault_keeps_the_triangle_check(self, cells, value, triangles):
+        dist = [list(map(Fraction, row)) for row in _TWO_CHERRIES]
+        for i, j in cells:
+            dist[i][j] = Fraction(value)
+        dist = tuple(map(tuple, dist))
+        got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
+        assert got == oracle.metric_violations(dist)
+        assert [indices for axiom, indices, _ in got if axiom == "triangle"] == triangles
+
+
 class TestCenteredPoints:
     # tied matrices draw off-diagonal entries in [1, 2], so each is a metric
     @given(

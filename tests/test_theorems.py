@@ -188,7 +188,8 @@ class TestCoincidenceRandomized:
         assert (w.centered_value, w.noncentered_value) == (Q(1, 3), Q(1, 2))
         assert verify_witness(line3, w)
 
-    def test_equilateral_inconclusive_equal(self, eq3, uniform3):
+    def test_equilateral_decided_equal(self, eq3, uniform3):
+        """The point-mass search decides `equal` on the equilateral triangle; the trials are echoed."""
         verdict = coincidence_randomized(eq3, uniform3, trials=100, seed=7)
         assert verdict.verdict == "equal"
         assert verdict.method == "randomized"
