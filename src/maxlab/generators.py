@@ -134,8 +134,8 @@ def gen_taxicab(
             f"quarter-integer points, fewer than n = {n}"
         )
     rng = random.Random(seed)
-    points: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    points: list[tuple[int, ...]] = []  # coordinates in quarters
+    seen: set[tuple[int, ...]] = set()
     attempts = 0
     limit = 100 * n + 100
     while len(points) < n:
@@ -144,14 +144,15 @@ def gen_taxicab(
             raise ValueError(
                 f"resample limit exceeded after {limit} draws for {n} distinct points"
             )
-        p = tuple(Fraction(rng.randint(lo * denom, hi * denom), denom) for _ in range(dim))
+        p = tuple(rng.randint(lo * denom, hi * denom) for _ in range(dim))
         if p in seen:
             continue
         seen.add(p)
         points.append(p)
-    dist = [
-        [sum((abs(a - b) for a, b in zip(p, q)), _ZERO) for q in points] for p in points
-    ]
+    # the distances in quarters are ints; each distinct one becomes one Fraction
+    rows = [[sum(abs(a - b) for a, b in zip(p, q)) for q in points] for p in points]
+    fractions = {d: Fraction(d, denom) for d in set().union(*rows)}
+    dist = [list(map(fractions.__getitem__, row)) for row in rows]
     return validate_space(dist, labels=[f"t{i}" for i in range(n)])
 
 

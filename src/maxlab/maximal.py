@@ -15,6 +15,11 @@ averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 Nothing is summed ball by ball: every ball mass and ball sum is one read,
 at `slots[i]`, of a prefix sum over the family's per-center `rows`.
 
+A measure is bound to a family once (`_BallMeasures.of`): its scaled weights
+and every ball's scaled mass are kept on mu, for the last family mu met, and
+read by every later query on that pair. The binding holds that family, so
+mu keeps it alive; a query on another family rebinds.
+
 One path per question. A point x is centered when every ball holding x is a
 ball around x, as in an ultrametric space; there no function separates the
 operators. Every point is centered iff Σ|B| equals the total length of
@@ -109,8 +114,21 @@ class _BallMeasures:
     by the lcm of mu's denominators, and never changes once built. A
     candidate ball's average (or measure ratio) is S/M, with M its scaled
     measure and S an integer ball sum of the query's scaled values; balls of
-    measure zero read as 0.
+    measure zero read as 0. Built by `of`, and kept by mu.
     """
+
+    @classmethod
+    def of(cls, family: BallFamily, mu: DiscreteMeasure) -> _BallMeasures:
+        """mu bound to family: the binding mu keeps if built for this very family, else a new one.
+
+        The family is matched by identity, never by value (hashing the
+        weights would cost more than a bind). mu keeps one binding, the last
+        built, outside its equality, hash and repr; a failed build keeps none.
+        """
+        kept = mu.__dict__.get("_ball_measures")
+        if kept is None or kept.family is not family:
+            kept = mu.__dict__["_ball_measures"] = cls(family, mu)
+        return kept
 
     def __init__(self, family: BallFamily, mu: DiscreteMeasure):
         if family.n != mu.n:
@@ -295,28 +313,28 @@ def centered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over balls centered at the support point x."""
-    return _BallMeasures(family, mu).at(f, x)[0]
+    return _BallMeasures.of(family, mu).at(f, x)[0]
 
 
 def noncentered_maximal(
     f: SampleFunction, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max ball average of f over every ball containing the support point x."""
-    return _BallMeasures(family, mu).at(f, x)[1]
+    return _BallMeasures.of(family, mu).at(f, x)[1]
 
 
 def centered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over balls centered at x (ratio 0 where mu(B) = 0)."""
-    return _BallMeasures(family, mu).at(nu, x)[0]
+    return _BallMeasures.of(family, mu).at(nu, x)[0]
 
 
 def noncentered_maximal_measure(
     nu: DiscreteMeasure, mu: DiscreteMeasure, family: BallFamily, x: int
 ) -> MaximalValue:
     """Max of nu(B)/mu(B) over every ball containing x (ratio 0 where mu(B) = 0)."""
-    return _BallMeasures(family, mu).at(nu, x)[1]
+    return _BallMeasures.of(family, mu).at(nu, x)[1]
 
 
 def inf_ball_measure_pair(
@@ -327,7 +345,7 @@ def inf_ball_measure_pair(
     At least one candidate always exists (any ball of radius >= diameter).
     Argmin ties break toward the smallest member set.
     """
-    return _BallMeasures(family, mu).inf_pair(x, y)
+    return _BallMeasures.of(family, mu).inf_pair(x, y)
 
 
 def maximal_field(
@@ -343,4 +361,4 @@ def maximal_field(
     """
     if family is None:
         family = enumerate_balls(space)
-    return _BallMeasures(family, mu).field(f)
+    return _BallMeasures.of(family, mu).field(f)

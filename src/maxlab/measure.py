@@ -28,7 +28,12 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative weights per point; the zero measure may be a numerator nu, never mu."""
+    """Nonnegative weights per point; the zero measure may be a numerator nu, never mu.
+
+    As mu it keeps its binding to the last ball family it met (its scaled
+    weights and every ball's scaled mass, `maximal._BallMeasures.of`), which
+    keeps that family alive; like `support`, it is outside ==, hash and repr.
+    """
 
     weights: tuple[Fraction, ...]
 

@@ -13,7 +13,8 @@ space loaded from a file gets it from the loader).
 
 One O(n³) scan is left, the triangle check of `metric_violations` and its
 twin, the triple search of `ultrametric_violation`. It runs only on a matrix
-that the O(n²) row test `_ultrametric` (all of `is_ultrametric`) rejects,
+that the O(n²) row test `_ultrametric` rejects (`is_ultrametric` is that
+test, and reads every triple only on a matrix it declines, never a metric),
 and its exact loop over the middle point j only for a pair that fails a
 word-parallel pre-test. Each row and each column of the integer matrix is
 packed into one Python int, one byte field per point with a guard bit on top
@@ -542,11 +543,22 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples: `_ultrametric`, else the scan."""
+    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples: `_ultrametric`, else every one.
+
+    Where `_ultrametric` declines (asymmetry, a nonzero diagonal, a negative
+    entry), every ordered triple is read, not only the scan's pairs a < c.
+    """
     scaled = space.int_dist
     symmetric = scaled == tuple(zip(*scaled))
     verdict = _ultrametric(scaled, symmetric, _packed_lines(scaled, symmetric))
-    return ultrametric_violation(space) is None if verdict is None else verdict
+    if verdict is not None:
+        return verdict
+    return all(
+        d_xz <= max(d_xy, d_yz)
+        for row_x in scaled
+        for d_xy, row_y in zip(row_x, scaled)
+        for d_xz, d_yz in zip(row_x, row_y)
+    )
 
 
 def closed_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fraction) -> Ball:

@@ -204,7 +204,7 @@ def coincidence_randomized(
         raise ValueError("trials must be >= 0")
     if family is None:
         family = enumerate_balls(space)
-    ball_measures = _BallMeasures(family, mu)
+    ball_measures = _BallMeasures.of(family, mu)
     masses = ball_measures.masses
     support = mu.support
     off_center = [x for x in support if family.off_center[x]]
@@ -279,7 +279,7 @@ def coincidence_exact(
             outer = trace & ~traces[top - 1]  # the points of B ∩ S of rank R
             far = _lowest_bit(outer)
             q = _lowest_bit(traces[top] & ~masks[j])
-            ball_measures = _BallMeasures(family, mu)
+            ball_measures = _BallMeasures.of(family, mu)
             values = [_ZERO] * mu.n
             for p in _bit_indices(trace):
                 values[p] = Fraction(2 if outer >> p & 1 else 1)
@@ -425,7 +425,7 @@ def check_ball_infimum(
     """
     if family is None:
         family = enumerate_balls(space)
-    ball_measures = _BallMeasures(family, mu)
+    ball_measures = _BallMeasures.of(family, mu)
     masses, scale = ball_measures.masses, ball_measures.scale
     # rows repeat few distinct masses: build each Fraction once
     measure = cache(lambda m: Fraction(m, scale))
@@ -501,7 +501,7 @@ def check_lower_semicontinuity(
         raise ValueError(
             f"last element deviates by {deviations[-1]}, above the allowed {bound}"
         )
-    ball_measures = _BallMeasures(enumerate_balls(space), mu)
+    ball_measures = _BallMeasures.of(enumerate_balls(space), mu)
     values = [ball_measures.at(nu, x) for nu in nu_sequence]
     c_values = tuple(c.value for c, _ in values)
     nc_values = tuple(nc.value for _, nc in values)
@@ -577,7 +577,7 @@ def build_grid_demo(n: int) -> GridDemoReport:
     mu = DiscreteMeasure(tuple(_ONE for _ in coords))
     f = SampleFunction(tuple(_ONE if c <= 1 else _ZERO for c in coords))
     point = n + 1  # coordinate 1 + 1/n
-    centered, noncentered = _BallMeasures(enumerate_balls(space), mu).at(f, point)
+    centered, noncentered = _BallMeasures.of(enumerate_balls(space), mu).at(f, point)
     gap = noncentered.value - centered.value
     closed_form = Fraction(n + 1, n + 2) - Fraction(n + 1, 2 * n + 1)
 

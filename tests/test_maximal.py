@@ -665,3 +665,104 @@ class TestRecords:
         again = maximal_field(ind2, uniform3, line3).at(1)
         assert again == entry and hash(again) == hash(entry)
         assert again.centered.ball is not entry.centered.ball
+
+
+def _count_builds(monkeypatch):
+    """Record the (family, mu) of every `_BallMeasures` built from now on."""
+    builds, init = [], _BallMeasures.__init__
+
+    def counted(self, family, mu):
+        builds.append((family, mu))
+        init(self, family, mu)
+
+    monkeypatch.setattr(_BallMeasures, "__init__", counted)
+    return builds
+
+
+class TestBinding:
+    """mu keeps its binding to the last family it met, matched by identity."""
+
+    def test_one_build_per_pair(self, monkeypatch):
+        space = gen_taxicab(12, seed=1)
+        family = enumerate_balls(space)
+        mu, nu = gen_measure(space, seed=2, zero_fraction=0.2), gen_measure(space, seed=4)
+        f = gen_function(space, seed=3)
+        x, y = mu.support[0], mu.support[-1]
+        builds = _count_builds(monkeypatch)
+        report = maximal_field(f, mu, space, family=family)
+        assert coincidence_exact(space, mu, family=family).verdict == "distinct"
+        assert coincidence_randomized(space, mu, 6, 1, family=family).verdict == "distinct"
+        check_ball_infimum(space, mu, family=family)
+        assert centered_maximal(f, mu, family, x) == report.at(x).centered
+        assert noncentered_maximal(f, mu, family, x) == report.at(x).noncentered
+        assert centered_maximal_measure(nu, mu, family, x).value == oracle.ratio_value(
+            space, mu, nu, x, True
+        )[0]
+        assert noncentered_maximal_measure(nu, mu, family, x).value == oracle.ratio_value(
+            space, mu, nu, x, False
+        )[0]
+        value, _ = inf_ball_measure_pair(mu, family, x, y)
+        assert value == oracle.inf_pair_measure(space, mu, x, y)
+        assert len(builds) == 1 and builds[0][0] is family and builds[0][1] is mu
+        # the binding is kept outside the measure's value
+        twin = DiscreteMeasure(mu.weights)
+        assert "_ball_measures" in vars(mu) and "_ball_measures" not in vars(twin)
+        assert twin == mu and hash(twin) == hash(mu) and repr(twin) == repr(mu)
+
+    def test_equal_family_or_measure_builds_its_own(self, monkeypatch):
+        space = gen_taxicab(12, seed=1)
+        family = enumerate_balls(space)
+        mu, f = gen_measure(space, seed=2), gen_function(space, seed=3)
+        builds = _count_builds(monkeypatch)
+        first = maximal_field(f, mu, space, family=family)
+        again = enumerate_balls(space)
+        assert again == family and again is not family
+        assert maximal_field(f, mu, space, family=again) == first
+        assert len(builds) == 2 and builds[1][0] is again
+        twin = DiscreteMeasure(mu.weights)
+        assert twin == mu and twin is not mu
+        assert maximal_field(f, twin, space, family=again) == first
+        assert len(builds) == 3 and builds[2][1] is twin
+        # mu's binding now belongs to `again`, and serves it
+        assert maximal_field(f, mu, space, family=again) == first
+        assert len(builds) == 3
+
+    def test_failed_build_keeps_nothing(self):
+        space = gen_taxicab(6, seed=1)
+        family = enumerate_balls(space)
+        for mu in (DiscreteMeasure((0,) * 6), DiscreteMeasure((1,) * 7)):
+            with pytest.raises(ValueError):
+                inf_ball_measure_pair(mu, family, 0, 1)
+            assert "_ball_measures" not in vars(mu)
+
+    def test_interleaved_pairs_match_oracle(self, monkeypatch):
+        spaces = (gen_taxicab(10, seed=5), gen_graph_metric(10, seed=6))
+        families = tuple(map(enumerate_balls, spaces))
+        measures = (gen_measure(spaces[0], seed=7, zero_fraction=0.3), gen_measure(spaces[0], seed=8))
+        f = gen_function(spaces[0], seed=9)
+        tables = {
+            (i, j): oracle.argmax_table(space, mu, f)
+            for i, space in enumerate(spaces)
+            for j, mu in enumerate(measures)
+        }
+        builds = _count_builds(monkeypatch)
+        order = [(0, 0), (0, 0), (1, 0), (0, 1), (1, 0), (1, 1), (1, 1), (0, 0), (0, 1)]
+        last = {}
+        for i, j in order:
+            space, family, mu = spaces[i], families[i], measures[j]
+            before = len(builds)
+            report = maximal_field(f, mu, space, family=family)
+            for e in report.points:
+                assert (e.centered.value, e.centered.ball.members) == tables[i, j][e.point, True]
+                assert (e.noncentered.value, e.noncentered.ball.members) == tables[i, j][e.point, False]
+            x, y = mu.support[0], mu.support[-1]
+            assert noncentered_maximal(f, mu, family, y).value == tables[i, j][y, False][0]
+            assert inf_ball_measure_pair(mu, family, x, y)[0] == oracle.inf_pair_measure(space, mu, x, y)
+            # mu rebinds only where it last met the other family
+            if last.get(j) == i:
+                assert len(builds) == before
+            else:
+                assert len(builds) == before + 1
+                assert builds[-1][0] is family and builds[-1][1] is mu
+            last[j] = i
+        assert len(builds) == 6

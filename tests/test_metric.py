@@ -386,20 +386,21 @@ def faulty_dendrograms(draw):
     """A dendrogram matrix with one fault that keeps it from the O(n²) ultrametric test.
 
     The fault is a nonzero diagonal entry, one entry of a pair changed (the
-    other triangle stays ultrametric), or a zero off-diagonal entry, alone or
-    with its mirror.
+    other triangle stays ultrametric), or a zero or negative off-diagonal
+    entry, alone or with its mirror. Some such matrices keep every ordered
+    triple ultrametric, some break one in one direction only.
     """
     dist = [list(row) for row in draw(dendrogram_matrices(min_n=2))]
     i, j = draw(st.lists(st.integers(0, len(dist) - 1), min_size=2, max_size=2, unique=True))
     fault = draw(st.sampled_from(["diagonal", "symmetry", "positivity"]))
     if fault == "diagonal":
-        dist[i][i] = draw(st.sampled_from([Fraction(1, 3), dist[i][j]]))
+        dist[i][i] = draw(st.sampled_from([Fraction(1, 3), dist[i][j], 3 * dist[i][j]]))
     elif fault == "symmetry":
         dist[i][j] = draw(st.sampled_from([dist[i][j] / 4, dist[i][j] + Fraction(1, 7), 3 * dist[i][j]]))
     else:
-        dist[i][j] = Fraction(0)
+        dist[i][j] = draw(st.sampled_from([Fraction(0), -dist[i][j], Fraction(-1, 7)]))
         if draw(st.booleans()):
-            dist[j][i] = Fraction(0)
+            dist[j][i] = dist[i][j]
     return tuple(map(tuple, dist))
 
 
@@ -423,15 +424,18 @@ class TestUltrametricRowTest:
         assert oracle.is_ultrametric(dist)
 
     @given(faulty_dendrograms())
+    @example(((5, 1), (1, 0)))
+    @example(((0, 1, 1), (1, 0, 1), (3, 1, 0)))
     @settings(max_examples=300, deadline=None)
     def test_fault_lists_every_violation(self, dist):
+        dist = tuple(tuple(map(Fraction, row)) for row in dist)
         got = [(v.axiom, v.indices, v.detail) for v in metric_violations(dist)]
         assert got == oracle.metric_violations(dist)
         assert any(axiom != "triangle" for axiom, _, _ in got)
-        # such a matrix takes the scan, whose verdict is_ultrametric reports
+        # such a matrix takes the scan for its triple and every ordered triple for its verdict
         space = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
-        triple = oracle.ultrametric_violation(dist)
-        assert (ultrametric_violation(space), is_ultrametric(space)) == (triple, triple is None)
+        assert ultrametric_violation(space) == oracle.ultrametric_violation(dist)
+        assert is_ultrametric(space) == oracle.is_ultrametric(dist)
 
     @pytest.mark.parametrize(
         "cells, value, triangles",
