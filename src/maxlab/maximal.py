@@ -13,7 +13,9 @@ averages S_a/M_a and S_b/M_b are compared by cross-multiplication, and a
 `Fraction` is built only for the value returned. No float ever enters.
 
 Nothing is summed ball by ball: every ball mass and ball sum is one read,
-at `slots[i]`, of a prefix sum over the family's per-center `rows`.
+at `slots[i]`, of a prefix sum over the family's per-center `rows`. A
+field reads the family's rows and slots, a one-point query those of
+`family.plan(x)`: the rows of the centers whose balls hold x alone.
 
 A measure is bound to a family once (`_BallMeasures.of`): its scaled weights
 and every ball's scaled mass are kept on mu, for the last family mu met, and
@@ -26,8 +28,8 @@ operators. Every point is centered iff Σ|B| equals the total length of
 `centered_at` (`family.centered_only`). A field then answers from
 `centered_at` alone, the centered argmax serving both operators, and
 otherwise builds suffix winners, winner [c][j] being the best ball of
-`centered_at[c][j:]`. A one-point query builds no winner tables and scans
-`centered_at[x]` and `family.holding(x)`.
+`centered_at[c][j:]`. A one-point query builds no winner tables, sums
+only the balls holding x, and scans `centered_at[x]` and `family.holding(x)`.
 Along one center the balls grow strictly, so a tie there goes to the earlier
 ball. Elsewhere two distinct balls are compared, on their member masks, only
 when two cross-products are equal.
@@ -136,41 +138,39 @@ class _BallMeasures:
         self.family = family
         _nonempty_support(mu)
         self.weights, self.scale = _scaled(mu.weights)
-        self.masses = self._ball_sums(self.weights)
+        self.masses = _ball_sums(self.weights, family.rows, family.slots)
         self._denominators = [m or 1 for m in self.masses]
 
-    def _ball_sums(self, point_values: Sequence[int]) -> list[int]:
-        """Every ball's sum of point_values: prefix sums over the family's rows, read at its slots."""
-        value = point_values.__getitem__
-        prefix: list[int] = []
-        for row in self.family.rows:
-            prefix += accumulate(map(value, row))
-        return list(map(prefix.__getitem__, self.family.slots))
-
-    def _require_support(self, x: int) -> None:
-        if not 0 <= x < len(self.weights):
-            raise ValueError(f"point {x} out of range")
-        if self.weights[x] == 0:
-            raise ValueError(f"point {x} is outside the support of the measure")
-
-    def _sums(self, g: SampleFunction | DiscreteMeasure) -> tuple[list[int], Fraction]:
-        """Integer ball sums for g, and the factor taking S/M to the true value.
-
-        For a function g the value is its ball average, for a measure g the
-        ratio g(B)/mu(B). Balls of measure zero sum to 0.
-        """
+    def _require(self, g: SampleFunction | DiscreteMeasure, x: int | None = None) -> None:
+        """Raise unless x, if given, is a support point and g lives on mu's points."""
         n = len(self.weights)
+        if x is not None:
+            if not 0 <= x < n:
+                raise ValueError(f"point {x} out of range")
+            if self.weights[x] == 0:
+                raise ValueError(f"point {x} is outside the support of the measure")
         if g.n != n:
             raise ValueError(f"dimension mismatch: {g.n} points against a measure on {n}")
+
+    def _sums(
+        self,
+        g: SampleFunction | DiscreteMeasure,
+        rows: Sequence[Sequence[int]],
+        slots: Sequence[int],
+    ) -> tuple[list[int], Fraction]:
+        """Integer sums for g of the balls ending at `slots` of `rows` end to end, and a factor.
+
+        S/M times the factor is the true value. For a function g that is its
+        ball average, and a ball of measure zero sums to 0. For a measure g it
+        is the ratio g(B)/mu(B); only `at` passes one, and every ball it reads
+        holds a support point, so none has measure zero.
+        """
         if isinstance(g, SampleFunction):
             values, k = _scaled(g.values)
-            # a ball of measure zero sums to 0 here already
-            return self._ball_sums([v * w for v, w in zip(values, self.weights)]), Fraction(1, k)
+            point_values = [v * w for v, w in zip(values, self.weights)]
+            return _ball_sums(point_values, rows, slots), Fraction(1, k)
         point_values, k = _scaled(g.weights)
-        sums = self._ball_sums(point_values)
-        if 0 in self.masses:
-            sums = [s if m else 0 for s, m in zip(sums, self.masses)]
-        return sums, Fraction(self.scale, k)
+        return _ball_sums(point_values, rows, slots), Fraction(self.scale, k)
 
     def _winners(self, sums: list[int]) -> list[list[int]]:
         """Suffix winners: entry [c][j] is the argmax over `centered_at[c][j:]`.
@@ -193,7 +193,7 @@ class _BallMeasures:
             table.append(winners)
         return table
 
-    def _best(self, sums: list[int], candidates: Iterable[int]) -> int:
+    def _best(self, sums: list[int] | dict[int, int], candidates: Iterable[int]) -> int:
         """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball.
 
         A tie between two distinct balls compares their masks (`_precedes`),
@@ -212,7 +212,7 @@ class _BallMeasures:
                 best, best_s, best_m = i, s, m
         return best
 
-    def _value(self, sums: list[int], factor: Fraction, i: int) -> MaximalValue:
+    def _value(self, sums: list[int] | dict[int, int], factor: Fraction, i: int) -> MaximalValue:
         """Ball i with its true average (or ratio) sums[i] / masses[i] times factor."""
         value = Fraction(sums[i] * factor.numerator, self._denominators[i] * factor.denominator)
         return MaximalValue(value, self.family.ball(i))
@@ -223,14 +223,16 @@ class _BallMeasures:
         """Centered and non-centered maxima at the support point x.
 
         g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
-        One point does not pay for the winner tables, which cost a pass over
-        every center's balls: it scans `centered_at[x]` and `holding(x)`.
+        One point sums only the balls holding x, from `family.plan(x)`: the
+        rows of their centers alone, and no winner tables. Keyed by ball id,
+        those sums serve its scans of `centered_at[x]` and `holding(x)`.
         """
-        self._require_support(x)
-        family = self.family
-        sums, factor = self._sums(g)
-        centered = self._value(sums, factor, self._best(sums, family.centered_at[x]))
-        return centered, self._value(sums, factor, self._best(sums, family.holding(x)))
+        self._require(g, x)
+        held, rows, slots = self.family.plan(x)
+        sums, factor = self._sums(g, rows, slots)
+        sums = dict(zip(held, sums))
+        centered = self._value(sums, factor, self._best(sums, self.family.centered_at[x]))
+        return centered, self._value(sums, factor, self._best(sums, held))
 
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
         """The smallest measure of a ball holding x and y, ties to the smallest ball.
@@ -292,7 +294,8 @@ class _BallMeasures:
         unique best ball by value, then `_precedes`.
         """
         family = self.family
-        sums, factor = self._sums(f)
+        self._require(f)
+        sums, factor = self._sums(f, family.rows, family.slots)
         winners = None if family.centered_only else self._winners(sums)
         points = []
         for x, w in enumerate(self.weights):
@@ -307,6 +310,17 @@ class _BallMeasures:
             noncentered = centered if nc == c else self._value(sums, factor, nc)
             points.append(PointMaximal(x, centered, noncentered))
         return MaximalReport(points=tuple(points))
+
+
+def _ball_sums(
+    point_values: Sequence[int], rows: Sequence[Sequence[int]], slots: Sequence[int]
+) -> list[int]:
+    """The sums of point_values over the balls ending at `slots` of `rows` laid end to end."""
+    value = point_values.__getitem__
+    prefix: list[int] = []
+    for row in rows:
+        prefix += accumulate(map(value, row))
+    return list(map(prefix.__getitem__, slots))
 
 
 def centered_maximal(

@@ -34,9 +34,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count, groupby, islice, repeat
+from itertools import accumulate, combinations, compress, count, groupby, islice, repeat
 from math import gcd, lcm
-from operator import and_, ne
+from operator import add, and_, ne
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -195,8 +195,9 @@ class BallFamily:
     lists those `Ball`s. `containing[x]` lists the family indices of sets
     containing x, ascending, Σ|B| = `member_total` entries in all; both are
     built whole on first read; `holding(x)` finds one list alone, by a pass
-    over the masks. `centered_at[x]` lists family indices arising from balls
-    centered at x, radii ascending, deduplicated, a subset of
+    over the masks; `plan(x)` adds their centers' rows and each one's slot in
+    just these rows laid end to end. `centered_at[x]` lists family indices
+    arising from balls centered at x, radii ascending, deduplicated, a subset of
     `containing[x]`: x is centered, every ball holding it a ball around it,
     unless `off_center[x]`. Every point is centered iff `member_total` is the
     total length of `centered_at` (`centered_only`); such a family answers
@@ -272,16 +273,32 @@ class BallFamily:
         return tuple(map(ne, map(len, self.containing), map(len, self.centered_at)))
 
     @cached_property
-    def _held(self) -> dict[int, tuple[int, ...]]:
+    def _plans(self) -> dict[int, tuple]:
         return {}
 
     def holding(self, x: int) -> tuple[int, ...]:
-        """`containing[x]` by one pass over the masks, kept: one path, whatever is built."""
+        """`containing[x]` by one pass over the masks, kept in `plan(x)`: one path, whatever is built."""
+        return self.plan(x)[0]
+
+    def plan(self, x: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], list[int]]:
+        """`holding(x)`, their centers' rows, and each one's slot in those rows end to end; kept.
+
+        The balls of one center are nested and the largest ends its row, so
+        if one holds x its whole row is needed, and the rows of other centers are not.
+        """
         if not 0 <= x < self.n:
             raise IndexError(f"point {x} out of range")
-        found = self._held.get(x)
+        found = self._plans.get(x)
         if found is None:
-            found = self._held[x] = tuple(compress(count(), map(and_, self.masks, repeat(1 << x))))
+            bits = list(map(and_, self.masks, repeat(1 << x)))
+            centers = list(compress(self.centers, bits))
+            around = dict.fromkeys(centers)  # the centers, ascending
+            rows = tuple(map(self.rows.__getitem__, around))
+            # each row's start less 1: ball i holds the first |masks[i]| points of its row
+            before = dict(zip(around, accumulate(map(len, rows), initial=-1)))
+            sizes = map(int.bit_count, compress(self.masks, bits))
+            slots = list(map(add, map(before.__getitem__, centers), sizes))
+            found = self._plans[x] = (tuple(compress(count(), bits)), rows, slots)
         return found
 
 

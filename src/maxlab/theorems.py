@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .maximal import MaximalValue, _BallMeasures
@@ -29,7 +30,6 @@ from .measure import (
     DiscreteMeasure,
     SampleFunction,
     _nonempty_support,
-    ball_average,
     measure_of,
     normalized_indicator,
 )
@@ -303,22 +303,29 @@ def _lowest_bit(mask: int) -> int:
 def verify_witness(space: FiniteMetricSpace, witness: Witness) -> bool:
     """Re-evaluate both maximal values from the distance matrix and compare with the stored ones.
 
-    Shares nothing with the ball family or the maximal operators' kernel:
-    around each center c, the closed balls that hold the witness point are
-    re-derived with `closed_ball` and averaged with `ball_average`, at the
-    radii d(c, p) with p in the support of mu and d(c, p) >= d(c, x) only.
-    A ball's average depends only on its trace on the support, which changes
-    only at those radii, so the maxima are those over every radius. A
-    witness at a point outside the support never verifies.
+    Shares nothing with the ball family or the maximal operators' kernel. A
+    ball's average depends only on its trace on the support S, which changes
+    only at the radii d(c, p), p in S. So around each center c, S is sorted
+    by the `Fraction`s d(c, p) once, mu and f·mu are summed in that order,
+    and each trace up to a new distance d(c, p) >= d(c, x) gives one
+    candidate average: O(n·|S| log |S|) in all. A witness at a point outside
+    the support never verifies.
     """
     mu, f, x = witness.measure, witness.function, witness.point
     if not 0 <= x < space.n or mu.n != space.n or mu.weights[x] == 0:
         return False
+    weights, values = mu.weights, f.values
 
     def best(center: int) -> Fraction:
         row = space.dist[center]
-        radii = {row[p] for p in mu.support if row[p] >= row[x]}
-        return max(ball_average(f, mu, closed_ball(space, center, r)) for r in radii)
+        averages, mass, integral = [], _ZERO, _ZERO
+        for r, trace in groupby(sorted(mu.support, key=row.__getitem__), row.__getitem__):
+            for p in trace:
+                mass += weights[p]
+                integral += values[p] * weights[p]
+            if r >= row[x]:
+                averages.append(integral / mass)
+        return max(averages)
 
     centered = best(x)
     noncentered = max(map(best, range(space.n)))
@@ -474,6 +481,7 @@ def check_lower_semicontinuity(
     nu_limit: DiscreteMeasure,
     x: int,
     deviation_bound: int | str | Fraction,
+    family: BallFamily | None = None,
 ) -> LowerSemicontinuityReport:
     """Track both measure-maximal values at x along nu_sequence -> nu_limit.
 
@@ -485,6 +493,8 @@ def check_lower_semicontinuity(
     the stronger per-step two-sided bound.
 
     The last element must deviate from the limit by at most `deviation_bound`.
+    Every value is one `at` query on mu bound to `family` (the space's balls
+    if None), so a caller's family keeps mu's binding and x's plan for later calls.
     """
     if not nu_sequence:
         raise ValueError("empty measure sequence")
@@ -501,7 +511,9 @@ def check_lower_semicontinuity(
         raise ValueError(
             f"last element deviates by {deviations[-1]}, above the allowed {bound}"
         )
-    ball_measures = _BallMeasures.of(enumerate_balls(space), mu)
+    if family is None:
+        family = enumerate_balls(space)
+    ball_measures = _BallMeasures.of(family, mu)
     values = [ball_measures.at(nu, x) for nu in nu_sequence]
     c_values = tuple(c.value for c, _ in values)
     nc_values = tuple(nc.value for _, nc in values)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import oracle
 from maxlab import (
     BallFamily,
     DiscreteMeasure,
+    FiniteMetricSpace,
     MaximalValue,
     PointMaximal,
     SampleFunction,
@@ -766,3 +768,149 @@ class TestBinding:
                 assert builds[-1][0] is family and builds[-1][1] is mu
             last[j] = i
         assert len(builds) == 6
+
+
+def _lattice(k):
+    """The k × k taxicab lattice, corners at 0, k - 1, k² - k and k² - 1."""
+    points = [(i, j) for i in range(k) for j in range(k)]
+    dist = tuple(tuple(Fraction(abs(a - c) + abs(b - d)) for c, d in points) for a, b in points)
+    return FiniteMetricSpace(labels=tuple(map(str, range(k * k))), dist=dist)
+
+
+@st.composite
+def one_point_instances(draw):
+    """A layout instance with a function and a numerator measure that has zero weights too."""
+    space, mu = draw(layout_instances())
+    value = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(VALUE_DENOMINATORS))
+    values = draw(st.lists(value, min_size=space.n, max_size=space.n))
+    weight = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(5, 7)])
+    nu = draw(st.lists(weight, min_size=space.n, max_size=space.n))
+    return space, mu, SampleFunction(tuple(values)), DiscreteMeasure(tuple(nu))
+
+
+class _ReadRows(tuple):
+    """A family's `rows` that records the center of every row read."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.read = []
+        return self
+
+    def __getitem__(self, c):
+        self.read.append(c)
+        return super().__getitem__(c)
+
+    def __iter__(self):
+        self.read.extend(range(len(self)))
+        return super().__iter__()
+
+
+class TestOnePointSums:
+    """`at` sums only the rows of the centers whose balls hold its point."""
+
+    @given(one_point_instances())
+    @example(
+        (
+            _line_grid(4),
+            DiscreteMeasure((1, 0, 0, 1, 0, 2, 0, 0, 1)),
+            SampleFunction((3, -1, 4, 1, -5, 9, 2, -6, 5)),
+            DiscreteMeasure((0, 1, 2, 0, 1, 0, 0, 5, 0)),
+        )
+    )
+    @example(
+        (
+            _lattice(3),
+            DiscreteMeasure((1, 0, 1, 0, 2, 0, 1, 0, 1)),
+            SampleFunction((2, 7, -1, 8, 2, -8, 1, 8, 0)),
+            DiscreteMeasure((0, 3, 0, 1, 0, 1, 0, 2, 1)),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_and_field(self, inst):
+        space, mu, f, nu = inst
+        family = enumerate_balls(space)
+        ball_measures = _BallMeasures(family, mu)
+        table = oracle.argmax_table(space, mu, f)
+        for e in ball_measures.field(f).points:
+            x = e.point
+            assert ball_measures.at(f, x) == (e.centered, e.noncentered)
+            assert (e.centered.value, e.centered.ball.members) == table[x, True]
+            assert (e.noncentered.value, e.noncentered.ball.members) == table[x, False]
+            # balls of mu-measure zero hold no support point, so none is read here
+            for got, centered in zip(ball_measures.at(nu, x), (True, False)):
+                expected = oracle.ratio_value(space, mu, nu, x, centered)
+                assert (got.value, got.ball.members) == expected
+
+    @pytest.mark.parametrize(
+        "space, x", [(_line_grid(6), 0), (_line_grid(6), 12), (_lattice(4), 0), (_lattice(4), 15)]
+    )
+    def test_reads_only_rows_holding_the_point(self, space, x):
+        # grid endpoints and lattice corners: some center's balls never reach them
+        family = enumerate_balls(space)
+        family = replace(family, rows=_ReadRows(family.rows))
+        mu = DiscreteMeasure((1,) * space.n)
+        f = gen_function(space, seed=x)
+        ball_measures = _BallMeasures(family, mu)
+        centers = {c for c, mask in zip(family.centers, family.masks) if mask >> x & 1}
+        family.rows.read.clear()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ball_measures.at(SampleFunction((1,) * (space.n + 1)), x)
+        assert family.rows.read == [] and "_plans" not in family.__dict__
+        got = ball_measures.at(f, x)
+        assert sorted(family.rows.read) == sorted(centers)
+        assert len(centers) < sum(map(bool, family.rows))
+        for value, centered in zip(got, (True, False)):
+            expected = oracle.argmax_ball(space, mu, f, x, centered)
+            assert (value.value, value.ball.members) == expected
+        # the plan is kept: a second query reads no row
+        family.rows.read.clear()
+        assert ball_measures.at(gen_measure(space, seed=1), x)[0].value > 0
+        assert family.rows.read == []
+        report = ball_measures.field(f)
+        assert sorted(family.rows.read) == list(range(space.n))
+        assert report.at(x) == PointMaximal(x, *got)
+
+    def test_interleaved_points_and_families(self):
+        spaces = (_line_grid(5), _lattice(3))
+        families = tuple(map(enumerate_balls, spaces))
+        mus = tuple(gen_measure(space, seed=3, zero_fraction=0.3) for space in spaces)
+        fs = tuple(gen_function(space, seed=4) for space in spaces)
+        nus = tuple(gen_measure(space, seed=5, zero_fraction=0.3) for space in spaces)
+        points = tuple((mu.support[0], mu.support[-1]) for mu in mus)
+        order = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 0), (1, 1), (1, 0), (0, 1)]
+        for i, j in order:
+            space, family, mu, f, nu = spaces[i], families[i], mus[i], fs[i], nus[i]
+            x = points[i][j]
+            for op, centered in ((centered_maximal, True), (noncentered_maximal, False)):
+                got = op(f, mu, family, x)
+                expected = oracle.argmax_ball(space, mu, f, x, centered)
+                assert (got.value, got.ball.members) == expected
+            for op, centered in (
+                (centered_maximal_measure, True),
+                (noncentered_maximal_measure, False),
+            ):
+                got = op(nu, mu, family, x)
+                expected = oracle.ratio_value(space, mu, nu, x, centered)
+                assert (got.value, got.ball.members) == expected
+        assert all(len(family._plans) == 2 for family in families)
+
+    def test_lower_semicontinuity_binds_once_per_family(self, monkeypatch):
+        space = gen_taxicab(12, seed=6)
+        family = enumerate_balls(space)
+        mu = gen_measure(space, seed=7, zero_fraction=0.3)
+        x = mu.support[0]
+        limit = gen_measure(space, seed=9, zero_fraction=0.3)
+        sequence = [
+            DiscreteMeasure(tuple(w + Fraction(1, k) for w in limit.weights)) for k in (1, 2, 4)
+        ]
+        builds = _count_builds(monkeypatch)
+        reports = [
+            check_lower_semicontinuity(mu, space, sequence, limit, x, Fraction(1, 4), family=family)
+            for _ in range(2)
+        ]
+        assert reports[0] == reports[1]
+        assert len(builds) == 1 and builds[0][0] is family and builds[0][1] is mu
+        assert list(family._plans) == [x]
+        for nu, c, nc in zip(sequence, reports[0].centered_values, reports[0].noncentered_values):
+            assert c == oracle.ratio_value(space, mu, nu, x, True)[0]
+            assert nc == oracle.ratio_value(space, mu, nu, x, False)[0]

@@ -150,12 +150,14 @@ class TestWitnessChecker:
 
     def test_taxicab40_witness(self):
         # the witness measure's support has three points, so each center
-        # re-derives at most three balls of its row
+        # sorts three distances and averages at most three traces
         space = gen_taxicab(40, seed=3)
         witness = construct_witness(space, ultrametric_violation(space))
         assert verify_witness(space, witness)
         bad = replace(witness, centered_value=witness.centered_value + Q(1, 1000))
         assert not verify_witness(space, bad)
+        raised = replace(witness, noncentered_value=witness.noncentered_value + 1)
+        assert not verify_witness(space, raised)
 
     @given(st.integers(3, 10), st.integers(0, 10**6), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
