@@ -14,9 +14,10 @@ that a triangle breaks, has its `metric_violations` compared with a
 brute-force triple scan. On hop metrics of sparse graphs, where centered and
 off-center points mix, the field at a seeded sample of support points and a
 seeded sample of the pair-audit rows are compared with the brute-force
-oracle of `tests/oracle.py`. On a fresh family of each merge-tree space,
-under a measure with about 30 % zero weights, the randomized search, the
-exact decision and the pair audit run without building the family's
+oracle of `tests/oracle.py`. A fresh family of each merge-tree space, built
+from the O(n²) row test's tree, must equal the scan of every row field for
+field; under a measure with about 30 % zero weights, the randomized search,
+the exact decision and the pair audit then run without building its
 `containing` table: every point of an ultrametric space is centered. On the
 matrices of cold merge-tree spaces and of copies with one pair nudged down
 or up, `is_ultrametric`, `ultrametric_violation` and `metric_violations`,
@@ -61,6 +62,7 @@ from maxlab import (
     verify_witness,
 )
 from maxlab import io as mio
+from maxlab.metric import _ball_family
 
 
 def check_loaded(space) -> None:
@@ -151,13 +153,15 @@ def check_hops(space, seed: int) -> bool:
 def check_dendrogram(space, seed: int) -> int:
     """A cold family of an ultrametric space answers without its `containing` table.
 
-    Under a measure with about 30 % zero weights, the randomized search
+    The family, built from the O(n²) row test's tree, equals the scan of
+    every row field for field. Under a measure with about 30 % zero weights, the randomized search
     answers `equal` and echoes its 20 trials, the exact verdict's certificates
     verify, and two seeded audit rows match the oracle. Returns the number
     of certificates.
     """
     rng = random.Random(seed)
     family = enumerate_balls(space)
+    assert family == _ball_family(space, tree=False)
     mu = gen_measure(space, seed=seed, zero_fraction=0.3)
     randomized = coincidence_randomized(space, mu, trials=20, seed=seed, family=family)
     exact = coincidence_exact(space, mu, family=family)
@@ -208,7 +212,7 @@ def main() -> int:
         space = gen_ultrametric((k % args.max_n) + 1, seed=base + k)
         certificates += check_dendrogram(space, base + 17 * k)
     print(
-        f"[dendrograms] {args.count} cold families: searches equal, "
+        f"[dendrograms] {args.count} cold families equal to the row scan's: searches equal, "
         f"{certificates} certificates verified, sampled audit rows match the oracle, "
         f"no containing table built ({time.perf_counter() - t0:.2f}s)"
     )

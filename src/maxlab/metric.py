@@ -13,31 +13,36 @@ space loaded from a file gets it from the loader).
 
 One O(n³) scan is left, the triangle check of `metric_violations` and its
 twin, the triple search of `ultrametric_violation`. It runs only on a matrix
-that the O(n²) row test `_ultrametric` rejects (`is_ultrametric` is that
-test, and reads every triple only on a matrix it declines, never a metric),
-and its exact loop over the middle point j only for a pair that fails a
+that the O(n²) row test `_ultrametric` rejects, whose answer a space keeps
+(`_row_test`, filled by validation and `line_space`); `is_ultrametric` reads
+it, and every triple only where the test declines, never on a metric. The
+scan's exact loop over the middle point j runs only for a pair that fails a
 word-parallel pre-test. Each row and each column of the integer matrix is
 packed into one Python int, one byte field per point with a guard bit on top
 (`_packed_lines`); one subtraction of such ints compares all n entries of a
 line with a threshold at once, and the guard bits that survive mark the
 entries at or above it; the triangle pre-test adds `guards` to each packed
 column once, since no field of a sum of two lines reaches its guard bit.
-`enumerate_balls` deduplicates member sets on an int bitmask, bit p for
-point p; the family builds its `Ball`s, its Σ|B|-entry `containing` lists,
-its n² `rank_of` table and each ball's member tuple on first read.
+`enumerate_balls` scans every row and deduplicates member sets on an int
+bitmask, bit p for point p; where the kept answer says ultrametric, it builds
+the same family from the test's tree instead, since the balls are then the
+clusters, and walks each point's row only below the level where it joins an
+earlier point. The family builds its `Ball`s, its Σ|B|-entry `containing`
+lists, its n² `rank_of` table and each ball's member tuple on first read.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, combinations, compress, count, groupby, islice, repeat
 from math import gcd, lcm
 from operator import add, and_, ne
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "as_rational",
@@ -148,6 +153,13 @@ class FiniteMetricSpace:
         later scan of the space share one copy.
         """
         return _integer_matrix(self.dist)
+
+    @cached_property
+    def _row_test(self) -> bool | None:
+        """`_ultrametric` of `int_dist`, kept; validation and `line_space` fill it."""
+        scaled = self.int_dist
+        symmetric = scaled == tuple(zip(*scaled))
+        return _ultrametric(scaled, symmetric, _packed_lines(scaled, symmetric))
 
     def restrict(self, points: Sequence[int]) -> "FiniteMetricSpace":
         """Submetric on the given point indices, order preserved, labels carried."""
@@ -408,11 +420,12 @@ def metric_violations(dist: tuple[tuple[Fraction, ...], ...]) -> list[MetricViol
 
 
 def _violations(
-    dist: tuple[tuple[Fraction, ...], ...], scaled: tuple[tuple[int, ...], ...]
+    dist: tuple[tuple[Fraction, ...], ...], scaled: tuple[tuple[int, ...], ...], keep: Callable = bool
 ) -> Iterator[MetricViolation]:
     """Every violation of the matrix, in metric_violations' order, given its integer copy `scaled`.
 
-    A generator: a caller that stops taking violations stops the scan.
+    A generator: a caller that stops taking violations stops the scan. Where
+    `_ultrametric` runs, its answer is passed to `keep`, a no-op by default.
 
     A matrix with no other violation that `_ultrametric` accepts skips the
     O(n³) triangle check, which tests each pair (i, k) with i < k
@@ -440,8 +453,10 @@ def _violations(
             if scaled[i][j] <= 0:
                 yield MetricViolation("positivity", (i, j), f"dist[{i}][{j}] = {dist[i][j]} is not > 0")
     lines = rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
-    if positive and _ultrametric(scaled, symmetric, lines):
-        return  # an ultrametric with no negative entry satisfies the triangle inequality
+    if positive:
+        keep(ultrametric := _ultrametric(scaled, symmetric, lines))
+        if ultrametric:
+            return  # an ultrametric with no negative entry satisfies the triangle inequality
     lifted = [col + guards for col in columns]
     for i, row in enumerate(scaled):
         packed = rows[i]
@@ -498,7 +513,8 @@ def _checked_space(
     if int_dist is not None:
         # a frozen dataclass: fill the cached_property's slot directly
         object.__setattr__(space, "int_dist", int_dist)
-    violations = list(islice(_violations(matrix, space.int_dist), MAX_VIOLATIONS + 1))
+    keep = partial(object.__setattr__, space, "_row_test")  # a valid space's test always runs
+    violations = list(islice(_violations(matrix, space.int_dist, keep), MAX_VIOLATIONS + 1))
     if violations:
         raise MetricAxiomError(violations[:MAX_VIOLATIONS], len(violations) > MAX_VIOLATIONS)
     return space
@@ -522,13 +538,15 @@ def line_space(
     space = FiniteMetricSpace(labels=tuple(labels), dist=dist)
     g = gcd(scale, *fractions)  # the denominators are scale / gcd(scale, d); their lcm, scale / g
     object.__setattr__(space, "int_dist", tuple(tuple([d // g for d in row]) for row in rows))
+    # points a < b < c on a line have d(a,c) = d(a,b) + d(b,c) > max(d(a,b), d(b,c))
+    object.__setattr__(space, "_row_test", len(pts) <= 2)
     return space
 
 
 def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with d(x,z) <= d(x,y) < d(z,y), or None.
 
-    None where the O(n²) `_ultrametric` accepts; else it scans pairs a < c,
+    None where the space's kept `_ultrametric` answer is True; else it scans pairs a < c,
     then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a violation is
     normalized so that x is the middle point, y the farther endpoint and z
     the nearer one (ties resolved toward the later endpoint).
@@ -536,12 +554,12 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
     the packed row a and column c: the OR of their `>= d(a,c)` masks keeps
     every guard bit iff no b lies closer than d(a,c) to both a and c.
     """
+    if space._row_test:
+        return None
     n = space.n
     scaled = space.int_dist
     symmetric = scaled == tuple(zip(*scaled))
-    lines = rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
-    if _ultrametric(scaled, symmetric, lines):
-        return None
+    rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
     columns = [col | guards for col in columns]
     for a, row in enumerate(scaled):
         packed = rows[a] | guards
@@ -560,16 +578,15 @@ def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | No
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples: `_ultrametric`, else every one.
+    """True iff d(x,z) <= max(d(x,y), d(y,z)) for all triples: the kept `_ultrametric`, else every one.
 
     Where `_ultrametric` declines (asymmetry, a nonzero diagonal, a negative
     entry), every ordered triple is read, not only the scan's pairs a < c.
     """
-    scaled = space.int_dist
-    symmetric = scaled == tuple(zip(*scaled))
-    verdict = _ultrametric(scaled, symmetric, _packed_lines(scaled, symmetric))
+    verdict = space._row_test
     if verdict is not None:
         return verdict
+    scaled = space.int_dist
     return all(
         d_xz <= max(d_xy, d_yz)
         for row_x in scaled
@@ -588,19 +605,32 @@ def closed_ball(space: FiniteMetricSpace, center: int, radius: int | str | Fract
 
 
 def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
-    """All distinct closed-ball member sets of the space.
+    """All distinct closed-ball member sets of the space, built from the row test's tree if ultrametric.
 
     Membership is piecewise constant in the radius, so per center it suffices
     to take the radii occurring in that center's row (r = 0 is the diagonal
     entry, giving the singleton {center}). Sets are deduplicated across
     centers on a bitmask of their members; the representative is the first
     (center, radius) discovered with centers ascending and radii ascending.
+
+    Where the space's kept `_ultrametric` answer is True, the same family
+    comes from its tree. For c >= 1 let w = min D[c][:c], u its first index.
+    Each ball around c below w holds c and no earlier point, so it is new and
+    c represents it; from w up, ball(c, t) = ball(u, t) and u, c see the same
+    distances, so `centered_at[c]` ends with `centered_at[u]` from u's level
+    w. Only the points nearer to c than w are sorted and walked; row 0 whole.
     """
+    return _ball_family(space, bool(space._row_test))
+
+
+def _ball_family(space: FiniteMetricSpace, tree: bool) -> BallFamily:
+    """`enumerate_balls` by the tree build if `tree`, else by the scan of every whole row."""
     n = space.n
     dist = space.dist
     index_by_mask: dict[int, int] = {}
     centers: list[int] = []
     radii: list[Fraction] = []
+    levels: list[int] = []  # the integer radius of each ball; in an ultrametric, its diameter
     centered_at: list[list[int]] = [[] for _ in range(n)]
     rows: list[tuple[int, ...]] = []
     slots: list[int] = []
@@ -609,15 +639,20 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
     bits = [1 << p for p in range(n)]
     for c, row in enumerate(space.int_dist):
         # sorted() is stable, so equal distances keep ascending point order
-        order = tuple(sorted(range(n), key=row.__getitem__))
+        if tree and c:
+            w = min(row[:c])
+            order = tuple(sorted(compress(range(c, n), map(w.__gt__, row[c:])), key=row.__getitem__))
+        else:
+            order = tuple(sorted(range(n), key=row.__getitem__))
+        m = len(order)
         reach = 0  # size of the largest ball c represents so far
         mask = 0  # the members of the ball so far, bit p for point p
         k = 0
-        while k < n:
+        while k < m:
             r = row[order[k]]
             # each radius adds the points at that distance, so the sets grow strictly
             mask |= bits[order[k]]
-            while k + 1 < n and row[order[k + 1]] == r:
+            while k + 1 < m and row[order[k + 1]] == r:
                 k += 1
                 mask |= bits[order[k]]
             idx = index_by_mask.get(mask)
@@ -626,11 +661,15 @@ def enumerate_balls(space: FiniteMetricSpace) -> BallFamily:
                 index_by_mask[mask] = idx
                 centers.append(c)
                 radii.append(dist[c][order[k]])
+                levels.append(r)
                 slots.append(start + k)
                 reach = k + 1
                 member_total += reach
             centered_at[c].append(idx)
             k += 1
+        if tree and c:
+            above = centered_at[row.index(w)]
+            centered_at[c] += above[bisect_left(above, w, key=levels.__getitem__) :]
         rows.append(order[:reach])
         start += reach
     return BallFamily(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 from test_maximal import check_record
+from maxlab import io as mio
 from maxlab import metric
 from maxlab import (
     Ball,
@@ -13,6 +15,7 @@ from maxlab import (
     MetricAxiomError,
     MidpointConfig,
     as_rational,
+    build_grid_demo,
     closed_ball,
     enumerate_balls,
     find_midpoint_configs,
@@ -612,6 +615,110 @@ class TestBalls:
         for ball in family.balls:
             for z in ball.members:
                 assert closed_ball(space, z, ball.radius).members == ball.members
+
+# every field that ==, hash and repr read; the tree build must give each one as the scan does
+_FAMILY_FIELDS = ("masks", "centers", "radii", "centered_at", "rows", "slots", "member_total")
+
+
+def _unchecked(dist) -> FiniteMetricSpace:
+    """The matrix as a space, built without validation."""
+    return FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+
+
+def _matches_scan(space):
+    """enumerate_balls of the space, asserted equal to the scan of every row field for field."""
+    family = enumerate_balls(space)
+    scan = metric._ball_family(space, tree=False)
+    for name in _FAMILY_FIELDS:
+        assert getattr(family, name) == getattr(scan, name), name
+    return family
+
+
+def _member_sets(family):
+    return {frozenset(family.ball(i).members) for i in range(len(family))}
+
+
+def _row_test_calls():
+    """A spy on `_ultrametric`, the O(n²) row test, for the length of a with block."""
+    return mock.patch.object(metric, "_ultrametric", wraps=metric._ultrametric)
+
+
+class TestTreeBuild:
+    @given(dendrogram_matrices(max_n=14))
+    @settings(max_examples=300, deadline=None)
+    def test_dendrograms_match_the_scan(self, dist):
+        space = _unchecked(dist)
+        assert space._row_test is True
+        family = _matches_scan(space)
+        assert _member_sets(family) == oracle.all_ball_sets(space)
+        # every dendrogram here is a metric; validation keeps the test's answer
+        checked = validate_space(dist)
+        assert vars(checked)["_row_test"] is True
+        assert enumerate_balls(checked) == family
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 200])
+    def test_generated_dendrograms_match_the_scan(self, n):
+        space = gen_ultrametric(n, seed=n)
+        family = _matches_scan(space)
+        assert _member_sets(family) == oracle.all_ball_sets(space)
+        # distinct merge heights: the n leaves and the n - 1 merges are the balls
+        assert len(family) == 2 * n - 1
+
+    @given(st.one_of(nudged_dendrograms(), faulty_dendrograms()))
+    @settings(max_examples=300, deadline=None)
+    def test_unvalidated_near_dendrograms_match_the_scan(self, dist):
+        # a 1/7 step can keep an ultrametric, which then takes the tree build
+        _matches_scan(_unchecked(dist))
+
+    @given(st.one_of(dendrogram_matrices(), nudged_dendrograms(), faulty_dendrograms()))
+    @settings(max_examples=300, deadline=None)
+    def test_ultrametric_answers_read_the_kept_test(self, dist):
+        expected = (oracle.is_ultrametric(dist), oracle.ultrametric_violation(dist))
+        with _row_test_calls() as spy:
+            cold = _unchecked(dist)
+            assert (is_ultrametric(cold), ultrametric_violation(cold)) == expected
+            assert spy.call_count == 1  # on first read, then kept
+            if not oracle.metric_violations(dist):
+                checked = validate_space(dist)
+                assert spy.call_count == 2  # validation runs it once
+                assert (is_ultrametric(checked), ultrametric_violation(checked)) == expected
+                enumerate_balls(checked)
+                assert spy.call_count == 2
+
+    @pytest.mark.parametrize("count", range(1, 7))
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_line_space_keeps_its_answer(self, count, data):
+        coords = data.draw(
+            st.lists(st.fractions(-10, 10, max_denominator=12), min_size=count, max_size=count, unique=True)
+        )
+        with _row_test_calls() as spy:
+            space = line_space(coords)
+            assert vars(space)["_row_test"] is (count <= 2)
+            assert spy.call_count == 0
+        assert space._row_test == oracle.is_ultrametric(space.dist) == _unchecked(space.dist)._row_test
+
+    def test_grid_demo_runs_no_row_test(self):
+        with _row_test_calls() as spy:
+            assert build_grid_demo(6).matches_closed_form
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_loaded_space_runs_the_row_test_once(self, tmp_path, suffix):
+        for space, ultrametric in ((gen_ultrametric(30, seed=5), True), (gen_taxicab(12, seed=5), False)):
+            path = tmp_path / f"space{suffix}"
+            if suffix == ".json":
+                mio.write_json(mio.space_to_json(space), path)
+            else:
+                path.write_text("".join(",".join(map(mio.scalar_str, row)) + "\n" for row in space.dist))
+            with _row_test_calls() as spy:
+                loaded = mio.load_space(path)
+                assert spy.call_count == 1 and vars(loaded)["_row_test"] is ultrametric
+                family = enumerate_balls(loaded)
+                assert is_ultrametric(loaded) is ultrametric
+                assert (ultrametric_violation(loaded) is None) is ultrametric
+                assert spy.call_count == 1
+            assert family == metric._ball_family(loaded, tree=False)
 
 
 class TestMidpoints:
