@@ -25,14 +25,15 @@ mu keeps it alive; a query on another family rebinds.
 One path per question. A point x is centered when every ball holding x is a
 ball around x, as in an ultrametric space; there no function separates the
 operators. Every point is centered iff Σ|B| equals the total length of
-`centered_at` (`family.centered_only`). A field then answers from
-`centered_at` alone, the centered argmax serving both operators, and
-otherwise builds suffix winners, winner [c][j] being the best ball of
-`centered_at[c][j:]`. A one-point query builds no winner tables, sums
-only the balls holding x, and scans `centered_at[x]` and `family.holding(x)`.
-Along one center the balls grow strictly, so a tie there goes to the earlier
-ball. Elsewhere two distinct balls are compared, on their member masks, only
-when two cross-products are equal.
+`centered_at` (`family.centered_only`), and a field then answers from
+`centered_at` alone. Otherwise one backward scan of each `centered_at[c]`
+gives the centered argmax at c and the records, the balls winning a suffix of
+it; the best ball holding x is a record, as each later ball around its center
+holds it, so one sweep over the records, best first on exact integer keys
+floor(-S·2^shift/M) with 2^shift > 2M², gives every non-centered argmax. A
+one-point query sums only the balls holding x, and scans `centered_at[x]` and
+`family.holding(x)`. Along one center a tie goes to the earlier, smaller ball;
+elsewhere two distinct balls are compared, on their masks, only at equal value.
 
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
 The point-mass row of the pair audit (`pair_masses`) sweeps the balls
@@ -44,8 +45,10 @@ of a field: built positionally, immutable, compared and hashed by field.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -140,6 +143,7 @@ class _BallMeasures:
         self.weights, self.scale = _scaled(mu.weights)
         self.masses = _ball_sums(self.weights, family.rows, family.slots)
         self._denominators = [m or 1 for m in self.masses]
+        self._shift = 2 * max(self._denominators).bit_length() + 1  # 2^shift > 2D²: see `field`
 
     def _require(self, g: SampleFunction | DiscreteMeasure, x: int | None = None) -> None:
         """Raise unless x, if given, is a support point and g lives on mu's points."""
@@ -172,26 +176,50 @@ class _BallMeasures:
         point_values, k = _scaled(g.weights)
         return _ball_sums(point_values, rows, slots), Fraction(self.scale, k)
 
-    def _winners(self, sums: list[int]) -> list[list[int]]:
-        """Suffix winners: entry [c][j] is the argmax over `centered_at[c][j:]`.
+    def _scan(self, sums: list[int]) -> tuple[list[int], set[int]]:
+        """The centered argmax around each center, and the records: every suffix winner.
 
-        Along one center the balls grow strictly, so a tie goes to the
-        earlier, smaller ball. Only a family with an off-center point builds them.
+        Walks each `centered_at[c]` backwards keeping the best ball of
+        `centered_at[c][j:]`; a tie goes to the earlier, smaller ball.
         """
         denominators = self._denominators
-        table = []
+        centered, records = [], set()
         for row in self.family.centered_at:
             best = row[-1]
             best_s, best_m = sums[best], denominators[best]
-            winners = []
             for i in reversed(row):
                 s, m = sums[i], denominators[i]
                 if s * best_m >= best_s * m:
                     best, best_s, best_m = i, s, m
-                winners.append(best)
-            winners.reverse()
-            table.append(winners)
-        return table
+                    records.add(i)
+            centered.append(best)
+        return centered, records
+
+    def _sweep(self, sums: list[int], records: set[int], support: int) -> list[int | None]:
+        """The best record holding each point of the `support` mask, None elsewhere.
+
+        Records go best first: by the key (-S << shift) // M, then by size, both
+        in one int, and a run of equal ints, once it holds an uncovered point, by
+        `_precedes`. Each takes the points it adds; the sweep ends once all are.
+        """
+        masks, denominators, shift = self.family.masks, self._denominators, self._shift
+        width = len(self.weights).bit_length()  # a ball's size fits below the key
+        keys = {i: ((-sums[i] << shift) // denominators[i] << width) + masks[i].bit_count() for i in records}
+        order = sorted(keys, key=keys.__getitem__)
+        best: list[int | None] = [None] * len(self.weights)
+        for pos, i in enumerate(order):
+            if masks[i] & support:
+                run = order[pos : bisect_right(order, keys[i], pos, key=keys.__getitem__)]
+                for j in sorted(run, key=cmp_to_key(lambda a, b: -1 if _precedes(masks[a], masks[b]) else 1)):
+                    new = masks[j] & support
+                    support ^= new
+                    while new:
+                        low = new & -new
+                        best[low.bit_length() - 1] = j
+                        new ^= low
+                if not support:
+                    break
+        return best
 
     def _best(self, sums: list[int] | dict[int, int], candidates: Iterable[int]) -> int:
         """Argmax of sums[i] / masses[i] over the candidates, ties to the smallest ball.
@@ -224,7 +252,7 @@ class _BallMeasures:
 
         g is a function (ball averages) or a measure (ratios g(B)/mu(B)).
         One point sums only the balls holding x, from `family.plan(x)`: the
-        rows of their centers alone, and no winner tables. Keyed by ball id,
+        rows of their centers alone, with no record scan. Keyed by ball id,
         those sums serve its scans of `centered_at[x]` and `holding(x)`.
         """
         self._require(g, x)
@@ -281,34 +309,30 @@ class _BallMeasures:
         return row
 
     def field(self, f: SampleFunction) -> MaximalReport:
-        """Both maxima of f at each support point, ascending.
+        """Both maxima of f at each support point, ascending, one `MaximalValue` per ball.
 
-        One path per family. Σ|B| counts each point once per ball holding it,
-        and the balls around x are among those, so Σ|B| exceeds the total
-        length of `centered_at` iff some ball holds a point it is no ball
-        around. Then the suffix winners serve: the balls holding x are
-        `centered_at[c][rank_of[x][c]:]` over every center c, the centered
-        argmax is the winner [x][0] and the non-centered one the best of the n
-        winners [c][rank_of[x][c]]. Otherwise every ball holding x is a ball
-        around x, and the centered argmax serves for both. Each way gives the
-        unique best ball by value, then `_precedes`.
+        On `centered_only`, the best of `centered_at[x]` serves both operators.
+        Else `_scan` gives the centered argmaxes and the records, and the
+        non-centered argmax at x is the best record holding x: the best ball
+        b holding x, of rank k around its center c, wins the suffix of
+        `centered_at[c]` from k, as every later ball around c holds b, hence
+        x, and is no better. `_sweep` finds it: with D the largest M and
+        2^shift > 2D², two distinct values S/M differ by at least 1/D², over
+        two units once shifted, so floored keys keep their order and equality.
+        Each way gives the unique best ball by value, then `_precedes`.
         """
         family = self.family
         self._require(f)
         sums, factor = self._sums(f, family.rows, family.slots)
-        winners = None if family.centered_only else self._winners(sums)
-        points = []
-        for x, w in enumerate(self.weights):
-            if not w:
-                continue
-            if winners:
-                c = winners[x][0]
-                nc = self._best(sums, map(list.__getitem__, winners, family.rank_of[x]))
-            else:
-                c = nc = self._best(sums, family.centered_at[x])
-            centered = self._value(sums, factor, c)
-            noncentered = centered if nc == c else self._value(sums, factor, nc)
-            points.append(PointMaximal(x, centered, noncentered))
+        support = [x for x, w in enumerate(self.weights) if w]
+        if family.centered_only:
+            centered = noncentered = {x: self._best(sums, family.centered_at[x]) for x in support}
+        else:
+            centered, records = self._scan(sums)
+            noncentered = self._sweep(sums, records, sum(1 << x for x in support))
+        balls = {*map(centered.__getitem__, support), *map(noncentered.__getitem__, support)}
+        values = {i: self._value(sums, factor, i) for i in balls}
+        points = (PointMaximal(x, values[centered[x]], values[noncentered[x]]) for x in support)
         return MaximalReport(points=tuple(points))
 
 

@@ -546,30 +546,31 @@ def line_space(
 def ultrametric_violation(space: FiniteMetricSpace) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with d(x,z) <= d(x,y) < d(z,y), or None.
 
-    None where the space's kept `_ultrametric` answer is True; else it scans pairs a < c,
-    then b ascending, for d(a,c) > max(d(a,b), d(b,c)); a violation is
-    normalized so that x is the middle point, y the farther endpoint and z
-    the nearer one (ties resolved toward the later endpoint).
+    None where the space's `_ultrametric` answer is True (got from the scan's
+    own packing if not yet kept); else it scans pairs a < c, then b ascending,
+    for d(a,c) > max(d(a,b), d(b,c)); a violation is normalized so that x is the
+    middle point, y the farther endpoint and z the nearer one (ties toward the later one).
     A pair runs the scan over b only if it fails a word-parallel pre-test on
     the packed row a and column c: the OR of their `>= d(a,c)` masks keeps
     every guard bit iff no b lies closer than d(a,c) to both a and c.
     """
-    if space._row_test:
+    if (kept := vars(space)).get("_row_test"):
         return None
-    n = space.n
     scaled = space.int_dist
     symmetric = scaled == tuple(zip(*scaled))
-    rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    lines = rows, columns, offset, guards, ones = _packed_lines(scaled, symmetric)
+    if "_row_test" not in kept and kept.setdefault("_row_test", _ultrametric(scaled, symmetric, lines)):
+        return None
     columns = [col | guards for col in columns]
     for a, row in enumerate(scaled):
         packed = rows[a] | guards
-        for c in range(a + 1, n):
+        for c in range(a + 1, len(row)):
             dac = row[c]
             threshold = (dac + offset) * ones
             # b = a and b = c never pass: max(d(a,a), d(a,c)) >= d(a,c)
             if ((packed - threshold) | (columns[c] - threshold)) & guards == guards:
                 continue
-            for b in range(n):
+            for b in range(len(row)):
                 if dac > row[b] and dac > scaled[b][c]:
                     if scaled[b][c] >= scaled[b][a]:
                         return (b, c, a)

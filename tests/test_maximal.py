@@ -426,13 +426,13 @@ class TestLazyFamily:
     @pytest.mark.parametrize("seed", [14, 15])
     def test_ultrametric_queries_build_no_winners_and_no_ranks(self, seed, monkeypatch):
         calls = []
-        winners = _BallMeasures._winners
+        scan = _BallMeasures._scan
 
         def counted(self, sums):
             calls.append(sums)
-            return winners(self, sums)
+            return scan(self, sums)
 
-        monkeypatch.setattr(_BallMeasures, "_winners", counted)
+        monkeypatch.setattr(_BallMeasures, "_scan", counted)
         space = gen_ultrametric(30, seed=seed)
         family = enumerate_balls(space)
         assert family.member_total == sum(map(len, family.centered_at))
@@ -501,9 +501,9 @@ class TestLazyFamily:
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_winners_iff_some_point_is_off_center(self, case, monkeypatch):
         calls = []
-        winners = _BallMeasures._winners
+        scan = _BallMeasures._scan
         monkeypatch.setattr(
-            _BallMeasures, "_winners", lambda self, sums: calls.append(sums) or winners(self, sums)
+            _BallMeasures, "_scan", lambda self, sums: calls.append(sums) or scan(self, sums)
         )
         build, off_center = CANDIDATE_CASES[case]
         space = build()
@@ -512,7 +512,7 @@ class TestLazyFamily:
         mu = gen_measure(space, seed=seed, zero_fraction=0.4)
         f = gen_function(space, seed=seed)
         report = maximal_field(f, mu, space, family=family)
-        # one field, one path: the winners or the centered argmax, never `containing`
+        # one field, one path: the suffix-winner scan or the centered argmax, never `containing`
         assert "containing" not in family.__dict__
         assert len(calls) == off_center == any(family.off_center)
         table = oracle.argmax_table(space, mu, f)
@@ -520,6 +520,80 @@ class TestLazyFamily:
         for e in report.points:
             assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
             assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+
+
+@st.composite
+def tie_instances(draw):
+    """Line grids and small taxicab boxes, weights with zeros, a 0/1 or -1/0/1 function.
+
+    Few distinct averages: many balls tie in value and in size, so the
+    sweep's runs of equal keys reach `_precedes`.
+    """
+    if draw(st.booleans()):
+        space = _line_grid(draw(st.integers(1, 6)))
+    else:
+        dim = draw(st.integers(1, 2))
+        n = draw(st.integers(1, 12))
+        space = gen_taxicab(n, dim=dim, coord_range=(0, 3), seed=draw(st.integers(0, 10**6)))
+    n = space.n
+    weight = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(2)])
+    weights = draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+    value = st.sampled_from(draw(st.sampled_from([(0, 1), (-1, 0, 1)])))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    return space, DiscreteMeasure(tuple(weights)), SampleFunction(tuple(map(Fraction, values)))
+
+
+class TestRecordSweep:
+    """A field with an off-center point: one scan for the records, one sweep over them."""
+
+    def test_cold_field_builds_no_ranks(self):
+        space = gen_taxicab(30, seed=1)
+        family = enumerate_balls(space)
+        assert family.member_total > sum(map(len, family.centered_at))
+        mu = gen_measure(space, seed=2, zero_fraction=0.3)
+        f = gen_function(space, seed=3)
+        report = maximal_field(f, mu, space, family=family)
+        assert "rank_of" not in family.__dict__
+        table = oracle.argmax_table(space, mu, f)
+        assert tuple(e.point for e in report.points) == mu.support
+        for e in report.points:
+            assert (e.centered.value, e.centered.ball.members) == table[e.point, True]
+            assert (e.noncentered.value, e.noncentered.ball.members) == table[e.point, False]
+
+    @given(tie_instances())
+    @settings(max_examples=200, deadline=None)
+    @example((_line_grid(3), DiscreteMeasure((Fraction(1),) * 7), SampleFunction((Fraction(0),) * 7)))
+    def test_matches_oracle_under_ties(self, inst):
+        space, mu, f = inst
+        _check_against_oracle(space, enumerate_balls(space), mu, f)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 255, 256, 257, 2**40 - 1, 2**40, 2**40 + 1])
+    def test_order_key_at_its_bound(self, d):
+        # on the line 0, 1, 3 the balls {0}, {0, 1} and {0, 1, 2} hold point 0;
+        # weights (w, d - 1 - w, 1) give the last two the masses d - 1 and d = D
+        space = line_space([0, 1, 3])
+        family = enumerate_balls(space)
+        single, pair, whole = map(family.masks.index, (0b001, 0b011, 0b111))
+
+        def winner(w, sums):
+            ball_measures = _BallMeasures(family, DiscreteMeasure(tuple(map(Fraction, (w, d - 1 - w, 1)))))
+            assert max(ball_measures.masses) == ball_measures.masses[whole] == d
+            assert ball_measures.masses[pair] == d - 1 and ball_measures.masses[single] == w
+            assert 2**ball_measures._shift > 2 * d * d
+            table = [0] * len(family)
+            for i, s in sums.items():
+                table[i] = s
+            return ball_measures._sweep(table, set(sums), 0b001)[0]
+
+        # a/D against b/(D - 1): 1/(D(D - 1)) apart, of either sign, or equal
+        for a, b in ((1, 1), (d - 1, d - 2), (d, d - 1), (0, 0)):
+            for sign in (1, -1):
+                s_whole, s_pair = sign * a, sign * b
+                better = Fraction(s_whole, d) > Fraction(s_pair, d - 1)
+                assert winner(1, {whole: s_whole, pair: s_pair}) == (whole if better else pair)
+        # a ball of measure zero sums to 0 and reads as 0, ties to the smaller ball
+        for s_pair, expected in ((1, pair), (0, single), (-1, single)):
+            assert winner(0, {single: 0, pair: s_pair}) == expected
 
 
 def _check_pair_kernels(space, family, mu):

@@ -721,6 +721,21 @@ class TestTreeBuild:
             assert family == metric._ball_family(loaded, tree=False)
 
 
+    @pytest.mark.parametrize("build", [gen_taxicab, gen_ultrametric])
+    def test_first_read_of_the_row_test_packs_once(self, build):
+        # the triple scan, reading the row test first, lends it its packing
+        dist = build(30, seed=1).dist
+        expected = oracle.ultrametric_violation(dist)
+        with mock.patch.object(metric, "_packed_lines", wraps=metric._packed_lines) as packs:
+            space = _unchecked(dist)
+            assert ultrametric_violation(space) == expected
+            assert packs.call_count == 1
+            ultrametric = expected is None
+            assert vars(space)["_row_test"] is ultrametric and is_ultrametric(space) is ultrametric
+            # a kept True answers at once; any other scan packs for itself
+            assert ultrametric_violation(space) == expected
+            assert packs.call_count == (1 if ultrametric else 2)
+
 class TestMidpoints:
     def test_line3(self, line3):
         configs = find_midpoint_configs(line3)
