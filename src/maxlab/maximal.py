@@ -36,8 +36,11 @@ one-point query sums only the balls holding x, and scans `centered_at[x]` and
 elsewhere two distinct balls are compared, on their masks, only at equal value.
 
 No kernel reads a `Ball` where `family.masks` serves: ties compare masks.
-The point-mass row of the pair audit (`pair_masses`) sweeps the balls
-containing p by ascending mass and writes only the points each one adds.
+One pair kernel (`pair_infima`) serves the audit and the point-mass search:
+the smallest ball holding p and y around each center c has the larger of
+their ranks around c, so a few points take n candidates each; a full
+point-mass row (`pair_masses`) sweeps the balls containing p by ascending
+mass and writes only the points each one adds. The cheaper path runs.
 
 `MaximalValue` and `PointMaximal` are named tuples, one per value and point
 of a field: built positionally, immutable, compared and hashed by field.
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from operator import getitem
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .measure import DiscreteMeasure, SampleFunction, _nonempty_support
 from .metric import Ball, BallFamily, FiniteMetricSpace, _scaled, enumerate_balls
@@ -66,6 +70,10 @@ __all__ = [
     "inf_ball_measure_pair",
     "maximal_field",
 ]
+
+# per-center pair steps that cost as much as one ball swept by `pair_masses`
+_BALL_STEPS = 2
+
 
 class MaximalValue(NamedTuple):
     """A maximal average together with a ball representative achieving it."""
@@ -116,7 +124,8 @@ class _BallMeasures:
     """A ball family bound to a measure mu, with every ball's measure as an integer.
 
     Holds only what depends on mu, its weights and the ball measures scaled
-    by the lcm of mu's denominators, and never changes once built. A
+    by the lcm of mu's denominators, and never changes once built but for
+    the `near` rows it keeps of the points read. A
     candidate ball's average (or measure ratio) is S/M, with M its scaled
     measure and S an integer ball sum of the query's scaled values; balls of
     measure zero read as 0. Built by `of`, and kept by mu.
@@ -144,6 +153,7 @@ class _BallMeasures:
         self.masses = _ball_sums(self.weights, family.rows, family.slots)
         self._denominators = [m or 1 for m in self.masses]
         self._shift = 2 * max(self._denominators).bit_length() + 1  # 2^shift > 2D²: see `field`
+        self._near: dict[int, list[int]] = {}
 
     def _require(self, g: SampleFunction | DiscreteMeasure, x: int | None = None) -> None:
         """Raise unless x, if given, is a support point and g lives on mu's points."""
@@ -262,26 +272,70 @@ class _BallMeasures:
         centered = self._value(sums, factor, self._best(sums, self.family.centered_at[x]))
         return centered, self._value(sums, factor, self._best(sums, held))
 
+    def near(self, p: int) -> list[int]:
+        """For each center c, the scaled mass of the smallest ball around c holding p; kept.
+
+        That ball is `centered_at[c][rank_of[p][c]]`; the masses along a
+        center's balls never decrease, as the balls are nested. Two C-level
+        maps build it, n steps, once per point and binding.
+        """
+        found = self._near.get(p)
+        if found is None:
+            family = self.family
+            ids = map(getitem, family.centered_at, family.rank_of[p])
+            found = self._near[p] = list(map(self.masses.__getitem__, ids))
+        return found
+
     def inf_pair(self, x: int, y: int) -> tuple[Fraction, Ball]:
         """The smallest measure of a ball holding x and y, ties to the smallest ball.
 
         Around each center c the smallest ball holding both is the one of rank
         max(rank_of[x][c], rank_of[y][c]); any larger ball around c is no
-        lighter and strictly bigger, so only these n candidates can win.
+        lighter and strictly bigger, so only these n candidates can win. They
+        are drawn, and their least mass found, by C-level maps in n steps;
+        `_precedes` compares only candidates of that mass. This is
+        `pair_infima`'s per-center path for one pair; its sweep gives masses
+        but not the argmin ball, so this query has no other path.
         """
         family = self.family
         if not (0 <= x < family.n and 0 <= y < family.n):
             raise ValueError("point index out of range")
         masks, masses = family.masks, self.masses
-        rank_x, rank_y = family.rank_of[x], family.rank_of[y]
-        best = family.centered_at[0][max(rank_x[0], rank_y[0])]
-        for row, rx, ry in zip(family.centered_at, rank_x, rank_y):
-            i = row[max(rx, ry)]
-            if masses[i] < masses[best] or (
-                masses[i] == masses[best] and i != best and _precedes(masks[i], masks[best])
-            ):
+        ranks = map(max, family.rank_of[x], family.rank_of[y])
+        candidates = list(map(getitem, family.centered_at, ranks))
+        least = min(map(masses.__getitem__, candidates))
+        best = None
+        for i in candidates:
+            if masses[i] == least and (best is None or _precedes(masks[i], masks[best])):
                 best = i
-        return Fraction(masses[best], self.scale), family.ball(best)
+        return Fraction(least, self.scale), family.ball(best)
+
+    def pair_infima(self, points: Sequence[int]) -> Callable[[int], list[int] | dict[int, int]]:
+        """The pair infima with `points`, as a function of p: a table t with t[y] for each y there.
+
+        t[y] is the least scaled mass of a ball holding p and y. Per center:
+        around c the smallest ball holding both has rank max(rank_of[p][c],
+        rank_of[y][c]), and masses never decrease along c's balls, so t[y]
+        is the least of the n maxima of `near(p)` and `near(y)`: |points|·n
+        steps for one p, and t a dict over `points`. The sweep,
+        `pair_masses(p)` as t, walks the about Σ|B|/n balls holding p. A
+        swept ball costs about K = `_BALL_STEPS` = 2 steps, so the
+        per-center path is returned iff |points|·n² < K·Σ|B|; timing both
+        over every p on taxicab clouds, line grids and graph metrics,
+        n = 30 to 400 (Python 3.11, 2 vCPUs), put the crossover at K = 1.7
+        to 3.8. A step is a comprehension: 59 ns a center, where
+        `map(max, ...)` took 160.
+        """
+        family = self.family
+        if len(points) * family.n**2 >= _BALL_STEPS * family.member_total:
+            return self.pair_masses
+        near = self.near
+
+        def per_center(p: int) -> dict[int, int]:
+            near_p = near(p)
+            return {y: min([a if a > b else b for a, b in zip(near_p, near(y))]) for y in points}
+
+        return per_center
 
     def pair_masses(self, p: int) -> list[int]:
         """For every point x, the smallest scaled measure of a ball holding both p and x.
@@ -289,7 +343,10 @@ class _BallMeasures:
         One sweep over the balls containing p by ascending mass gives each
         point the mass of the first ball that covers it: it writes only the
         points a ball adds to those already covered, n writes in all, and
-        stops once every point is covered. It reads masks, never a `Ball`.
+        stops once every point is covered. It reads masks, never a `Ball`,
+        and sorts and walks `containing[p]`, about Σ|B|/n balls, whatever the
+        caller reads of the row; `pair_infima` picks it only where that
+        costs less than |points|·n per-center steps.
         """
         family, masses = self.family, self.masses
         n, masks = family.n, family.masks

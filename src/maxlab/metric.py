@@ -537,7 +537,8 @@ def line_space(
     dist = tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
     space = FiniteMetricSpace(labels=tuple(labels), dist=dist)
     g = gcd(scale, *fractions)  # the denominators are scale / gcd(scale, d); their lcm, scale / g
-    object.__setattr__(space, "int_dist", tuple(tuple([d // g for d in row]) for row in rows))
+    scaled = rows if g == 1 else ([d // g for d in row] for row in rows)
+    object.__setattr__(space, "int_dist", tuple(map(tuple, scaled)))
     # points a < b < c on a line have d(a,c) = d(a,b) + d(b,c) > max(d(a,b), d(b,c))
     object.__setattr__(space, "_row_test", len(pts) <= 2)
     return space
@@ -686,29 +687,23 @@ def _ball_family(space: FiniteMetricSpace, tree: bool) -> BallFamily:
 
 
 def find_midpoint_configs(space: FiniteMetricSpace) -> list[MidpointConfig]:
-    """All (a, m, b) with a < b and d(a,m) = d(m,b) = d(a,b)/2.
+    """All (a, m, b) with a < b and d(a,m) = d(m,b) = d(a,b)/2, by a, then b, then m.
 
     Works on the integer copy D of the distance matrix: m is a midpoint of
-    (a, b) iff 2 D[a][m] = 2 D[b][m] = D[a][b].
+    (a, b) iff D[a][b] is even and D[a][m] = D[b][m] = D[a][b]/2. The
+    triples hold a < b by construction, so `tuple.__new__` builds them,
+    without `MidpointConfig`'s check.
     """
-    n = space.n
     rows = space.int_dist
-    # at_half[i][t]: the points j != i with 2 D[i][j] = t, ascending
-    at_half: list[dict[int, list[int]]] = []
-    for i, row in enumerate(rows):
-        buckets: dict[int, list[int]] = {}
-        for j, dij in enumerate(row):
-            if j != i:
-                buckets.setdefault(2 * dij, []).append(j)
-        at_half.append(buckets)
     configs: list[MidpointConfig] = []
     for a, row in enumerate(rows):
-        for b in range(a + 1, n):
-            near_a = at_half[a].get(row[b])
-            if not near_a:
-                continue
-            near_b = set(at_half[b].get(row[b], ()))
-            for m in near_a:
-                if m in near_b:
-                    configs.append(MidpointConfig(a, m, b))
+        around: dict[int, list[int]] = {}  # the points at each distance from a, ascending
+        for m, d in enumerate(row):
+            around.setdefault(d, []).append(m)
+        for b in range(a + 1, len(row)):
+            half, odd = divmod(row[b], 2)
+            near_a = None if odd else around.get(half)
+            if near_a:
+                row_b = rows[b]
+                configs += [tuple.__new__(MidpointConfig, (a, m, b)) for m in near_a if row_b[m] == half]
     return configs

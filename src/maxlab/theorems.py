@@ -181,10 +181,12 @@ def coincidence_randomized(
 
     The values are read off integer ball masses. A ball averages the
     indicator of p to 1/mu(B) if it holds p and to 0 otherwise, so at x the
-    centered value is 1/mu(B(x, d(x,p))) and the non-centered one is 1 over
-    the smallest mass of a ball holding both x and p, which one sweep over the
-    balls containing p gives for every x. Only the witness is re-evaluated,
-    directly.
+    centered value is 1/mu(B(x, d(x,p))), `near(p)[x]`, and the non-centered
+    one is 1 over the pair infimum of x and p, the smallest mass of a ball
+    holding both. `pair_infima(off_center)(p)` gives it for every off-center
+    x: per center, |off_center|·n steps, where |off_center|·n² < 2Σ|B|, else
+    by one sweep over the about Σ|B|/n balls containing p. Only the witness
+    is re-evaluated, directly.
 
     The point masses alone decide, so `equal` is no guess. If the operators
     differ at all, some ball B holds x and p but misses a q in the support S
@@ -205,18 +207,18 @@ def coincidence_randomized(
     if family is None:
         family = enumerate_balls(space)
     ball_measures = _BallMeasures.of(family, mu)
-    masses = ball_measures.masses
     support = mu.support
     off_center = [x for x in support if family.off_center[x]]
-    for p in support if off_center else ():
-        pair_masses = ball_measures.pair_masses(p)
-        ranks = family.rank_of[p]
-        for x in off_center:
-            if pair_masses[x] < masses[family.centered_at[x][ranks[x]]]:
-                f = normalized_indicator(space, (p,), mu)
-                cv, nv = ball_measures.at(f, x)
-                witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
-                return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
+    if off_center:
+        pair_infima = ball_measures.pair_infima(off_center)
+        for p in support:
+            least, near_p = pair_infima(p), ball_measures.near(p)
+            for x in off_center:
+                if least[x] < near_p[x]:
+                    f = normalized_indicator(space, (p,), mu)
+                    cv, nv = ball_measures.at(f, x)
+                    witness = Witness(mu, f, x, centered_value=cv.value, noncentered_value=nv.value)
+                    return CoincidenceVerdict("distinct", "randomized", witness=witness, trials=0)
     return CoincidenceVerdict("equal", "randomized", trials=trials)
 
 
@@ -426,28 +428,32 @@ def check_ball_infimum(
     the pair infimum, so its bound by 1/measure(B(y,d)) is the first inequality.
 
     Every value is read off integer ball masses. B(y, d(x,y)) is the ball of
-    rank rank_of[x][y] around y, and one `pair_masses(x)` row gives the pair
-    infimum of x with every y. At a centered x, where every ball holding x
-    is a ball around x, that infimum is measure(B(x,d)) and no row is read.
+    rank rank_of[x][y] around y, whose mass is `near(x)[y]`. At an off-center
+    x, `pair_infima(S)(x)` gives the pair infimum of x with each support
+    point: around each center the smallest ball holding both has the larger
+    of their ranks, so it takes the least of n such masses, in |S|·n steps,
+    where |S|·n² < 2Σ|B|; else it sweeps the about Σ|B|/n balls containing
+    x once (`pair_masses`). At a centered x, where every ball holding x is a
+    ball around x, that infimum is measure(B(x,d)) and neither runs.
     """
     if family is None:
         family = enumerate_balls(space)
     ball_measures = _BallMeasures.of(family, mu)
-    masses, scale = ball_measures.masses, ball_measures.scale
+    scale = ball_measures.scale
     # rows repeat few distinct masses: build each Fraction once
     measure = cache(lambda m: Fraction(m, scale))
-    rank_of, centered_at = family.rank_of, family.centered_at
     support = mu.support
+    near = {x: ball_measures.near(x) for x in support}
+    pair_infima = ball_measures.pair_infima(support)
     rows: list[PairBallCheck] = []
     for x in support:
         off_center = family.off_center[x]
-        least = ball_measures.pair_masses(x) if off_center else ()
-        ranks_x = rank_of[x]
+        least = pair_infima(x) if off_center else ()
+        near_x = near[x]
         for y in support:
             if y == x:
                 continue
-            m_y = masses[centered_at[y][ranks_x[y]]]
-            m_x = masses[centered_at[x][rank_of[y][x]]]
+            m_y, m_x = near_x[y], near[y][x]
             inf_m = least[y] if off_center else m_x
             rows.append(
                 PairBallCheck(
@@ -603,10 +609,14 @@ def build_grid_demo(n: int) -> GridDemoReport:
         and space.dist[chain[i]][chain[i + 2]] == space.dist[chain[i]][chain[i + 1]] / 2
         for i in range(len(chain) - 2)
     )
-    balls = tuple(
-        closed_ball(space, chain[i + 2], space.dist[chain[i + 1]][chain[i + 2]])
-        for i in range(len(chain) - 2)
-    )
+
+    def chain_ball(center: int, edge: int) -> Ball:
+        # closed_ball(space, center, d(edge, center)), compared on the integer row
+        row = space.int_dist[center]
+        reach = row[edge]
+        return Ball(center, space.dist[edge][center], sum(1 << p for p, d in enumerate(row) if d <= reach))
+
+    balls = tuple(chain_ball(chain[i + 2], chain[i + 1]) for i in range(len(chain) - 2))
     ball_measures = tuple(measure_of(mu, b) for b in balls)
     nested = all(
         set(balls[i + 1].members) <= set(balls[i].members) for i in range(len(balls) - 1)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,7 @@ from maxlab import (
     noncentered_maximal_measure,
     validate_space,
 )
+from maxlab import maximal
 from maxlab.maximal import _BallMeasures
 
 
@@ -597,19 +599,33 @@ class TestRecordSweep:
 
 
 def _check_pair_kernels(space, family, mu):
-    """pair_masses and inf_ball_measure_pair against the oracle's ball sets.
+    """Both paths of pair_infima, pair_masses and inf_ball_measure_pair against the oracle.
 
     For every pair (p, x): the smallest measure of a ball holding both, and
     the argmin ball, ties to the fewest members, then the first sorted ones.
+    `_BALL_STEPS` set to 0 pins the sweep, set above n² the per-center path.
     """
     sets = [(oracle.mass(mu, s), tuple(sorted(s))) for s in oracle.all_ball_sets(space)]
     ball_measures = _BallMeasures(family, mu)
-    for p in range(space.n):
+    points = list(range(space.n))
+    sweep_reads = []
+    pair_masses = _BallMeasures.pair_masses
+    with mock.patch.object(
+        _BallMeasures, "pair_masses", lambda self, p: sweep_reads.append(p) or pair_masses(self, p)
+    ):
+        with mock.patch.object(maximal, "_BALL_STEPS", 0):
+            swept = list(map(ball_measures.pair_infima(points), points))
+        assert sweep_reads == points
+        with mock.patch.object(maximal, "_BALL_STEPS", space.n**2 + 1):
+            per_center = list(map(ball_measures.pair_infima(points), points))
+        assert sweep_reads == points
+    for p in points:
         row = ball_measures.pair_masses(p)
-        for x in range(space.n):
+        for x in points:
             holding = [(m, s) for m, s in sets if p in s and x in s]
             least = min(m for m, _ in holding)
             assert Fraction(row[x], ball_measures.scale) == least
+            assert swept[p][x] == per_center[p][x] == row[x]
             value, ball = inf_ball_measure_pair(mu, family, p, x)
             assert value == least
             winners = [s for m, s in holding if m == least]

@@ -46,6 +46,16 @@ from maxlab import (
 Q = Fraction
 
 
+def _jittered_taxicab(seed):
+    """A 6 × 10 taxicab lattice of spacing 6/4, each coordinate moved by a seeded k/4, |k| <= 2."""
+    rng = random.Random(seed)
+    points = [
+        (6 * i + rng.randint(-2, 2), 6 * j + rng.randint(-2, 2)) for i in range(6) for j in range(10)
+    ]
+    dist = [[Q(abs(a - c) + abs(b - d), 4) for c, d in points] for a, b in points]
+    return validate_space(dist)
+
+
 class TestBallInfimumAudit:
     def test_line3_failing_pair(self, line3, uniform3):
         report = check_ball_infimum(line3, uniform3)
@@ -491,10 +501,10 @@ class TestBallInfimumDifferential:
         )
         _check_audit_rows(space, DiscreteMeasure(tuple(weights)))
 
-    # spaces of up to 30 points, with and without off-center support points,
-    # where the audit reads pair_masses rows. The oracle costs O(n^4) per
-    # pair, so only every seventh point has weight (1 to 3). The rows come
-    # from masks: no case builds a `Ball`, not even hops25, whose support
+    # spaces of up to 30 points, with and without off-center support points;
+    # so small a support takes the per-center pair path. The oracle costs
+    # O(n^4) per pair, so only every seventh point has weight (1 to 3). The
+    # rows come from masks: no case builds a `Ball`, not even hops25, whose support
     # points each lie in at most n balls.
     @pytest.mark.parametrize("case", sorted(CANDIDATE_CASES))
     def test_rows_match_brute_force_on_candidate_cases(self, case):
@@ -576,6 +586,32 @@ class TestPointMassSearch:
         assert (verdict.verdict, verdict.trials, verdict.witness) == ("equal", 0, None)
         _check_audit_rows(space, mu)
         assert calls == []
+
+    @pytest.mark.parametrize("seed", [3, 61])
+    def test_pair_path_follows_support_size(self, seed, monkeypatch):
+        # a 60-point jittered taxicab lattice: with 3 support points
+        # |S|·n² < 2Σ|B|, so neither query reads a pair_masses row; a full
+        # support sweeps. Both match the oracle on the small support.
+        space = _jittered_taxicab(seed)
+        family = enumerate_balls(space)
+        calls = []
+        pair_masses = _BallMeasures.pair_masses
+        monkeypatch.setattr(
+            _BallMeasures, "pair_masses", lambda self, p: calls.append(p) or pair_masses(self, p)
+        )
+        small = DiscreteMeasure(tuple(Q(1 + p % 4, 2) if p in (24, 17, 1) else 0 for p in range(60)))
+        assert 3 * 60**2 < 2 * family.member_total < 60 * 60**2
+        assert all(family.off_center[x] for x in small.support)
+        verdict = coincidence_randomized(space, small, trials=0, seed=0, family=family)
+        assert verdict.verdict == ("equal" if oracle.coincides(space, small.weights) else "distinct")
+        _check_audit_rows(space, small, family)
+        assert calls == []
+        full = DiscreteMeasure((Q(1),) * 60)
+        coincidence_randomized(space, full, trials=0, seed=0, family=family)
+        assert calls
+        calls.clear()
+        check_ball_infimum(space, full, family=family)
+        assert sorted(calls) == list(range(60))
 
     def test_seeded_verdicts_pinned(self):
         space = gen_graph_metric(6, edge_probability=0.45, seed=2)
